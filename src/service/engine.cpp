@@ -25,7 +25,48 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
+/// Spot check: re-derives v's stored checksum and throws DecodeError on
+/// a mismatch, like a label that fails to decode.
+// plglint: noexcept-hot-path
+void check_label(const Snapshot& snap, std::uint64_t v) {
+  if (!snap.verify_label(v)) {
+    // plglint-disable(hot-path-throw): DecodeError is the in-band
+    // corruption contract; QueryService::answer catches it (kCorrupt).
+    throw DecodeError("service: label fails spot checksum");
+  }
+}
+
 }  // namespace
+
+/// One chunk's counters. They live on the worker's stack while the chunk
+/// runs and reach its WorkerMetrics slot in one flush() when it ends, so
+/// answering a query costs no atomic RMW.
+struct QueryService::ChunkTally {
+  std::uint64_t queries = 0;
+  std::uint64_t positive = 0;
+  std::uint64_t view_hits = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t corruptions = 0;
+  std::uint64_t range_errors = 0;
+  std::uint64_t deadline_exceeded = 0;
+  std::uint64_t quarantine_hits = 0;
+
+  void flush(WorkerMetrics& m) const noexcept {
+    const auto add = [](std::atomic<std::uint64_t>& c, std::uint64_t d) {
+      if (d != 0) c.fetch_add(d, std::memory_order_relaxed);
+    };
+    add(m.queries, queries);
+    add(m.positive, positive);
+    add(m.view_hits, view_hits);
+    add(m.cache_hits, cache_hits);
+    add(m.cache_misses, cache_misses);
+    add(m.corruptions, corruptions);
+    add(m.range_errors, range_errors);
+    add(m.deadline_exceeded, deadline_exceeded);
+    add(m.quarantine_hits, quarantine_hits);
+  }
+};
 
 /// Worker-owned mutable state. Only worker w's thread ever touches
 /// states_[w] (jobs for w run exclusively on that thread), so none of
@@ -40,7 +81,50 @@ struct QueryService::WorkerState {
   std::vector<Slot> cache;  ///< direct-mapped; empty = caching disabled
   Label scratch_a;          ///< uncached decode target for endpoint u
   Label scratch_b;          ///< uncached decode target for endpoint v
-  std::vector<std::uint32_t> order;  ///< reusable chunk permutation buffer
+  /// order_by_shard's buffer: the chunk permutation, each query's bucket,
+  /// then the bucket offsets. Grows once, reused by every later chunk.
+  std::vector<std::uint32_t> sort_buf;
+
+  /// Orders the chunk's query indices by the shard of their first
+  /// endpoint, so consecutive queries walk one shard's view table and
+  /// packed bits instead of hopping between shards per query. A stable
+  /// counting sort: one shard_of() per query, and equal shards keep their
+  /// arrival order, so the permutation is deterministic. Out-of-range u
+  /// gets bucket num_shards() of its own. A chunk with no more queries
+  /// than the snapshot has shards keeps its arrival order, which bounds
+  /// the bucket pass by the chunk size.
+  // plglint: noexcept-hot-path
+  const std::uint32_t* order_by_shard(const ShardMap& map,
+                                      const QueryRequest* reqs,
+                                      std::size_t count) {
+    const std::size_t shards = map.num_shards();
+    const bool sort = shards > 1 && shards < count;
+    // plglint-disable(hot-path-alloc): amortized — the worker-owned buffer
+    // grows to its largest chunk once and is reused by every later chunk.
+    sort_buf.resize(sort ? 2 * count + shards + 2 : count);
+    std::uint32_t* order = sort_buf.data();
+    if (!sort) {
+      for (std::size_t i = 0; i < count; ++i) {
+        order[i] = static_cast<std::uint32_t>(i);
+      }
+      return order;
+    }
+    std::uint32_t* bucket = order + count;
+    std::uint32_t* start = bucket + count;  // shards + 2 entries
+    std::fill(start, start + shards + 2, 0u);
+    const std::uint64_t n = map.num_vertices();
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t u = reqs[i].u;
+      const std::size_t b = u < n ? map.shard_of(u) : shards;
+      bucket[i] = static_cast<std::uint32_t>(b);
+      ++start[b + 1];
+    }
+    for (std::size_t b = 1; b <= shards; ++b) start[b + 1] += start[b];
+    for (std::size_t i = 0; i < count; ++i) {
+      order[start[bucket[i]]++] = static_cast<std::uint32_t>(i);
+    }
+    return order;
+  }
 
   /// Materializes label v through the direct-mapped cache. Entries are
   /// tagged with the snapshot's process-unique id, so a hot swap
@@ -50,33 +134,26 @@ struct QueryService::WorkerState {
   /// queries, which is what makes this cache pay for itself.
   // plglint: noexcept-hot-path
   const Label& fetch_label(const Snapshot& snap, std::uint64_t v,
-                           bool spot_check, WorkerMetrics& m,
+                           bool spot_check, ChunkTally& tally,
                            Label& scratch) {
+    Slot* slot = nullptr;
     if (!cache.empty()) {
-      Slot& slot = cache[v % cache.size()];
-      if (slot.key == v && slot.snap_id == snap.id()) {
-        m.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return slot.label;
+      slot = &cache[v % cache.size()];
+      if (slot->key == v && slot->snap_id == snap.id()) {
+        ++tally.cache_hits;
+        return slot->label;
       }
-      m.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      if (spot_check && !snap.verify_label(v)) {
-        // plglint-disable(hot-path-throw): DecodeError is the in-band
-        // corruption contract; run_chunk catches it and answers kCorrupt.
-        throw DecodeError("service: label fails spot checksum");
-      }
-      slot.label = snap.get(v);
-      slot.key = v;
-      slot.snap_id = snap.id();
-      return slot.label;
     }
-    m.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (spot_check && !snap.verify_label(v)) {
-      // plglint-disable(hot-path-throw): DecodeError is the in-band
-      // corruption contract; run_chunk catches it and answers kCorrupt.
-      throw DecodeError("service: label fails spot checksum");
+    ++tally.cache_misses;
+    if (spot_check) check_label(snap, v);
+    if (slot == nullptr) {
+      scratch = snap.get(v);
+      return scratch;
     }
-    scratch = snap.get(v);
-    return scratch;
+    slot->label = snap.get(v);
+    slot->key = v;
+    slot->snap_id = snap.id();
+    return slot->label;
   }
 };
 
@@ -123,7 +200,6 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
   WorkerState& ws = *states_[worker];
   WorkerMetrics& m = metrics_.slot(worker);
   m.batches.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t n = snap.size();
 
   // Chaos: a slow-worker fault stalls the whole chunk up front, which is
   // what makes deadline checks and queue back-pressure observable.
@@ -132,119 +208,132 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
     std::this_thread::sleep_for(std::chrono::milliseconds(stall));
   }
 
-  // Answer the chunk in shard order of the first endpoint: consecutive
-  // queries then walk the same shard's view table and packed bits, so the
-  // decode-plan fast path below stays cache-resident instead of hopping
-  // between shards per query. The permutation is worker-owned and reused
-  // across chunks; stable_sort keeps it deterministic. Results still land
-  // at their original batch positions.
-  std::vector<std::uint32_t>& order = ws.order;
-  // plglint-disable(hot-path-alloc): amortized — the worker-owned buffer
-  // grows to the chunk size once and is reused by every later chunk.
-  order.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    order[i] = static_cast<std::uint32_t>(i);
-  }
-  if (count > 1) {
-    const ShardMap& map = snap.shard_map();
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return map.shard_of(reqs[x].u) < map.shard_of(reqs[y].u);
-                     });
-  }
+  // Results still land at their original batch positions.
+  const std::uint32_t* order = ws.order_by_shard(snap.shard_map(), reqs, count);
 
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t i = order[k];
-    const auto t0 = std::chrono::steady_clock::now();
-    if (ctl.deadline &&
-        (ctl.cancelled.load(std::memory_order_relaxed) ||
-         t0 >= *ctl.deadline)) {
-      // Cooperative cancellation: this chunk (and, via the shared flag,
-      // every other chunk of the batch) stops answering; everything
-      // unanswered reports kDeadlineExceeded. Cancelled queries are not
-      // counted in m.queries — they were never served.
-      ctl.cancelled.store(true, std::memory_order_relaxed);
-      for (std::size_t j = k; j < count; ++j) {
-        results[order[j]] =
-            QueryResult{QueryStatus::kDeadlineExceeded, false, -1};
-      }
-      m.deadline_exceeded.fetch_add(count - k, std::memory_order_relaxed);
-      return;
-    }
-    const QueryRequest& q = reqs[i];
-    QueryResult r;
-    if (q.u >= n || q.v >= n) {
-      r.status = QueryStatus::kOutOfRange;
-      m.range_errors.fetch_add(1, std::memory_order_relaxed);
-    } else if (snap.vertex_quarantined(q.u) || snap.vertex_quarantined(q.v)) {
-      // The shard is already known-bad; answer in-band without touching
-      // its bits. The healer is already on it.
-      r.status = QueryStatus::kCorrupt;
-      m.quarantine_hits.fetch_add(1, std::memory_order_relaxed);
-    } else if (fault::should_fail_query()) {
-      // Chaos: treat this fetch as a decode failure, exactly like the
-      // catch below — including the shard tally that drives demotion.
-      r.status = QueryStatus::kCorrupt;
-      m.corruptions.fetch_add(1, std::memory_order_relaxed);
-      note_shard_corruption(snap, q.u);
-    } else {
-      try {
-        // Fast path: answer straight from the snapshot's decode plans —
-        // no label materialization, no cache traffic, branch-free word
-        // extraction. Falls through to the BitReader path whenever either
-        // endpoint lacks a plan (quarantine-adjacent states, or plan
-        // construction failed at admission); behavioral equivalence with
-        // thin_fat_adjacent — answers and DecodeErrors both — is the
-        // LabelView contract, differentially fuzzed in
-        // tests/test_label_view.cpp.
-        const LabelView* va = nullptr;
-        const LabelView* vb = nullptr;
-        if (opt_.kind == QueryKind::kAdjacency &&
-            (va = snap.view(q.u)) != nullptr &&
-            (vb = snap.view(q.v)) != nullptr) {
-          if (opt_.spot_check &&
-              (!snap.verify_label(q.u) || !snap.verify_label(q.v))) {
-            // plglint-disable(hot-path-throw): DecodeError is the in-band
-            // corruption contract; the catch below answers kCorrupt.
-            throw DecodeError("service: label fails spot checksum");
-          }
-          r.adjacent = label_view_adjacent(*va, *vb);
-          if (r.adjacent) m.positive.fetch_add(1, std::memory_order_relaxed);
-          m.view_hits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          const Label* la =
-              &ws.fetch_label(snap, q.u, opt_.spot_check, m, ws.scratch_a);
-          if (!ws.cache.empty() && q.u != q.v &&
-              q.u % ws.cache.size() == q.v % ws.cache.size()) {
-            // Both endpoints map to one cache slot: fetching v would
-            // overwrite the storage la refers to. Detach u's label first.
-            ws.scratch_a = *la;
-            la = &ws.scratch_a;
-          }
-          const Label& lb =
-              ws.fetch_label(snap, q.v, opt_.spot_check, m, ws.scratch_b);
-          if (opt_.kind == QueryKind::kAdjacency) {
-            r.adjacent = thin_fat_adjacent(*la, lb);
-            if (r.adjacent) m.positive.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            const auto d = DistanceScheme::distance(*la, lb);
-            r.distance = d ? static_cast<std::int64_t>(*d) : -1;
-            if (d) m.positive.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      } catch (const DecodeError&) {
-        // Corruption fallback: the query reports kCorrupt instead of the
-        // exception escaping onto the worker thread. Serving continues,
-        // and the shard tally may demote the shard to quarantine.
-        r.status = QueryStatus::kCorrupt;
-        m.corruptions.fetch_add(1, std::memory_order_relaxed);
-        note_shard_corruption(snap, q.u);
+  // The only per-query work is the answer itself: counters go to `tally`
+  // and the clock is read once per chunk — unless the batch has a
+  // deadline, which is then checked before every query.
+  ChunkTally tally;
+  const bool timed = ctl.deadline.has_value();
+  const auto t0 = std::chrono::steady_clock::now();
+  auto t1 = t0;
+  std::size_t k = 0;
+  for (; k < count; ++k) {
+    if (timed) {
+      t1 = std::chrono::steady_clock::now();
+      if (ctl.cancelled.load(std::memory_order_relaxed) ||
+          t1 >= *ctl.deadline) {
+        break;
       }
     }
-    results[i] = r;
-    m.queries.fetch_add(1, std::memory_order_relaxed);
-    m.latency.record(elapsed_ns(t0, std::chrono::steady_clock::now()));
+    const std::uint32_t i = order[k];
+    results[i] = answer(ws, snap, reqs[i], tally);
   }
+  if (k < count) {
+    // Cooperative cancellation: this chunk (and, via the shared flag,
+    // every other chunk of the batch) stops answering; everything
+    // unanswered reports kDeadlineExceeded. Cancelled queries are not
+    // counted in queries — they were never served.
+    ctl.cancelled.store(true, std::memory_order_relaxed);
+    for (std::size_t j = k; j < count; ++j) {
+      results[order[j]] =
+          QueryResult{QueryStatus::kDeadlineExceeded, false, -1};
+    }
+    tally.deadline_exceeded = count - k;
+  } else {
+    t1 = std::chrono::steady_clock::now();
+  }
+  tally.queries = k;
+  if (k != 0) m.latency.record_n(elapsed_ns(t0, t1) / k, k);
+  tally.flush(m);
+}
+
+// plglint: noexcept-hot-path
+QueryResult QueryService::answer(WorkerState& ws, const Snapshot& snap,
+                                 const QueryRequest& q, ChunkTally& tally) {
+  QueryResult r;
+  const std::uint64_t n = snap.size();
+  if (q.u >= n || q.v >= n) {
+    r.status = QueryStatus::kOutOfRange;
+    ++tally.range_errors;
+    return r;
+  }
+  if (snap.num_quarantined() != 0 &&
+      (snap.vertex_quarantined(q.u) || snap.vertex_quarantined(q.v))) {
+    // The shard is already known-bad; answer in-band without touching
+    // its bits. The healer is already on it.
+    r.status = QueryStatus::kCorrupt;
+    ++tally.quarantine_hits;
+    return r;
+  }
+  if (fault::should_fail_query()) {
+    // Chaos: treat this fetch as a decode failure, exactly like the
+    // catch below — including the shard tally that drives demotion.
+    r.status = QueryStatus::kCorrupt;
+    ++tally.corruptions;
+    note_shard_corruption(snap, q.u);
+    return r;
+  }
+  // The endpoint whose shard a DecodeError is charged to: the one whose
+  // spot check or fetch threw. A failure to decode two fetched labels
+  // cannot be pinned on one of them and stays charged to u.
+  std::uint64_t blame = q.u;
+  try {
+    // Fast path: answer straight from the snapshot's decode plans — no
+    // label materialization, no cache traffic, branch-free word
+    // extraction. Falls through to the BitReader path whenever either
+    // endpoint lacks a plan (quarantine-adjacent states, a shard that
+    // failed its lazy CRC, or plan construction failed at admission);
+    // behavioral equivalence with thin_fat_adjacent — answers and
+    // DecodeErrors both — is the LabelView contract, differentially
+    // fuzzed in tests/test_label_view.cpp.
+    const LabelView* va = nullptr;
+    const LabelView* vb = nullptr;
+    if (opt_.kind == QueryKind::kAdjacency &&
+        (va = snap.view(q.u)) != nullptr &&
+        (vb = snap.view(q.v)) != nullptr) {
+      if (opt_.spot_check) {
+        check_label(snap, q.u);
+        blame = q.v;
+        check_label(snap, q.v);
+        blame = q.u;
+      }
+      r.adjacent = label_view_adjacent(*va, *vb);
+      tally.positive += r.adjacent ? 1u : 0u;
+      ++tally.view_hits;
+      return r;
+    }
+    const Label* la =
+        &ws.fetch_label(snap, q.u, opt_.spot_check, tally, ws.scratch_a);
+    if (!ws.cache.empty() && q.u != q.v &&
+        q.u % ws.cache.size() == q.v % ws.cache.size()) {
+      // Both endpoints map to one cache slot: fetching v would
+      // overwrite the storage la refers to. Detach u's label first.
+      ws.scratch_a = *la;
+      la = &ws.scratch_a;
+    }
+    blame = q.v;
+    const Label& lb =
+        ws.fetch_label(snap, q.v, opt_.spot_check, tally, ws.scratch_b);
+    blame = q.u;
+    if (opt_.kind == QueryKind::kAdjacency) {
+      r.adjacent = thin_fat_adjacent(*la, lb);
+      tally.positive += r.adjacent ? 1u : 0u;
+    } else {
+      const auto d = DistanceScheme::distance(*la, lb);
+      r.distance = d ? static_cast<std::int64_t>(*d) : -1;
+      tally.positive += d ? 1u : 0u;
+    }
+  } catch (const DecodeError&) {
+    // Corruption fallback: the query reports kCorrupt instead of the
+    // exception escaping onto the worker thread. Serving continues,
+    // and the shard tally may demote the blamed shard to quarantine.
+    r = QueryResult{QueryStatus::kCorrupt, false, -1};
+    ++tally.corruptions;
+    note_shard_corruption(snap, blame);
+  }
+  return r;
 }
 
 std::vector<QueryResult> QueryService::query_batch(

@@ -159,7 +159,8 @@ class QueryService final : public BatchHandler {
     return query_batch(batch, BatchOptions{});
   }
 
-  /// Single-query convenience (a batch of one, bypassing the pool).
+  /// Single-query convenience: a batch of one, answered by a pool worker
+  /// like any batch (worker state is only touched from its own thread).
   QueryResult query(const QueryRequest& req);
 
   /// Atomically installs a new snapshot; in-flight batches finish on the
@@ -183,6 +184,7 @@ class QueryService final : public BatchHandler {
 
  private:
   struct WorkerState;
+  struct ChunkTally;
 
   /// Shared, caller-stack-owned control block for one batch. Workers
   /// poll `cancelled` between queries; the submitting thread owns the
@@ -192,14 +194,22 @@ class QueryService final : public BatchHandler {
     std::atomic<bool> cancelled{false};
   };
 
+  /// Answers one chunk in shard order. Counters are tallied locally and
+  /// flushed once per chunk; the clock is read once per chunk, or before
+  /// every query when the batch has a deadline.
   void run_chunk(unsigned worker, const Snapshot& snap, BatchControl& ctl,
                  const QueryRequest* reqs, QueryResult* results,
                  std::size_t count);
 
+  /// Answers one query; a DecodeError becomes kCorrupt, charged to the
+  /// shard of the endpoint that failed.
+  QueryResult answer(WorkerState& ws, const Snapshot& snap,
+                     const QueryRequest& q, ChunkTally& tally);
+
   /// Cold path: records a query-time corruption against v's shard and,
   /// past the quarantine_after threshold, demotes the shard and wakes
   /// the healer. Deliberately NOT on the noexcept-hot-path — it takes
-  /// heal_mu_ and may build a snapshot — run_chunk calls it at most once
+  /// heal_mu_ and may build a snapshot — answer() calls it at most once
   /// per corrupt query, which is already the slow lane.
   void note_shard_corruption(const Snapshot& snap, std::uint64_t v)
       PLG_EXCLUDES(heal_mu_);

@@ -3,17 +3,22 @@
 //
 // Design rule: the hot path never takes a lock and never writes a cache
 // line another worker writes. Each worker owns one cache-line-aligned
-// WorkerMetrics slot; counters are std::atomic<u64> incremented with
-// relaxed ordering (they are statistics, not synchronization — the only
-// requirement is no torn reads, which atomics give for free). Aggregation
-// (stats(), the cold path) reads every slot with relaxed loads; totals are
-// eventually consistent with in-flight increments, which is exactly the
-// precision a stats endpoint needs.
+// WorkerMetrics slot; counters are std::atomic<u64> written with relaxed
+// ordering (they are statistics, not synchronization — the only
+// requirement is no torn reads, which atomics give for free). The engine
+// tallies each chunk's queries in plain locals and flushes them into the
+// slot once per chunk, so a query costs no atomic RMW at all. Aggregation
+// (stats(), the cold path) reads every slot with relaxed loads; totals
+// trail the chunks still running, which is exactly the precision a stats
+// endpoint needs — a finished batch is fully counted.
 //
 // Latency histogram: 64 power-of-two buckets of nanoseconds — bucket b
 // counts samples with floor(log2(ns)) == b (bucket 0 also takes 0 ns).
 // Log-scale buckets keep record() to a clz + one relaxed fetch_add and
-// bound quantile error to 2x, plenty for p50/p99 trend lines.
+// bound quantile error to 2x, plenty for p50/p99 trend lines. The engine
+// records one sample per answered query, but the sample's value is its
+// chunk's mean execute time per query (record_n), so the histogram shows
+// the spread between chunks, not between queries of one chunk.
 #pragma once
 
 #include <atomic>
@@ -44,6 +49,13 @@ class LatencyHistogram {
     buckets_[latency_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Records `count` samples of `ns` each with one RMW — how the engine
+  /// files a chunk's mean per-query time once per chunk.
+  // plglint: noexcept-hot-path
+  void record_n(std::uint64_t ns, std::uint64_t count) noexcept {
+    buckets_[latency_bucket(ns)].fetch_add(count, std::memory_order_relaxed);
+  }
+
   std::uint64_t bucket(int b) const noexcept {
     return buckets_[b].load(std::memory_order_relaxed);
   }
@@ -60,7 +72,8 @@ class LatencyHistogram {
 ///
 ///   * Single writer: slot w is incremented only from pool worker w's
 ///     thread (the engine indexes metrics_.slot(worker) inside a job
-///     pinned to that worker), so increments never contend.
+///     pinned to that worker), so increments never contend. The engine
+///     adds each chunk's totals once, when the chunk ends.
 ///   * Torn-read freedom is the only cross-thread requirement.
 ///     aggregate() may run on any thread concurrently with increments;
 ///     std::atomic<u64> guarantees each individual load is untorn, and
@@ -74,7 +87,7 @@ class LatencyHistogram {
 ///
 /// Under the thread-safety analysis this type is therefore correct with
 /// NO capability: adding a mutex here would put two atomic RMWs and a
-/// lock on the per-query path to protect data that needs neither. The
+/// lock on the per-chunk flush to protect data that needs neither. The
 /// plglint `mutex-guard` rule keeps the inverse honest — if a future
 /// change does add a mutex to this header, the build fails until
 /// something is declared PLG_GUARDED_BY it.
@@ -89,7 +102,10 @@ struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> range_errors{0};   ///< id out of snapshot
   std::atomic<std::uint64_t> deadline_exceeded{0};  ///< queries cancelled
   std::atomic<std::uint64_t> quarantine_hits{0};    ///< hit quarantined shard
-  LatencyHistogram latency;                     ///< per-query latency (ns)
+  /// Per-query execute time (ns): one sample per answered query, valued
+  /// at its chunk's mean (the chunk's execute time / queries answered),
+  /// so bucket totals equal `queries`. Excludes the chunk's reordering.
+  LatencyHistogram latency;
 };
 
 /// Cross-thread counters that have no owning worker. Shed callbacks run

@@ -100,12 +100,17 @@ std::shared_ptr<Snapshot> Snapshot::clone_shards() const {
   snap->map_ = map_;
   snap->shards_ = shards_;  // shared_ptr copies; no label data moves
   snap->total_bytes_ = total_bytes_;
+  snap->num_quarantined_ = num_quarantined_;
   return snap;
 }
 
-void Snapshot::recompute_total_bytes() noexcept {
+void Snapshot::recompute_totals() noexcept {
   total_bytes_ = 0;
-  for (const Shard& sh : shards_) total_bytes_ += sh.bytes;
+  num_quarantined_ = 0;
+  for (const Shard& sh : shards_) {
+    total_bytes_ += sh.bytes;
+    num_quarantined_ += sh.healthy() ? 0u : 1u;
+  }
 }
 
 std::shared_ptr<const Snapshot> Snapshot::build(const Labeling& labeling,
@@ -126,7 +131,7 @@ std::shared_ptr<const Snapshot> Snapshot::build(const Labeling& labeling,
         }
         snap->shards_[s] = admit(std::move(part), allow_quarantine);
       });
-  snap->recompute_total_bytes();
+  snap->recompute_totals();
   return snap;
 }
 
@@ -155,7 +160,7 @@ std::shared_ptr<const Snapshot> Snapshot::from_file(const std::string& path,
         }
         snap->shards_[s] = admit(std::move(part), allow_quarantine);
       });
-  snap->recompute_total_bytes();
+  snap->recompute_totals();
   return snap;
 }
 
@@ -203,7 +208,7 @@ std::shared_ptr<const Snapshot> Snapshot::from_mapped(const std::string& path,
         }
         snap->shards_[s] = std::move(sh);
       });
-  snap->recompute_total_bytes();
+  snap->recompute_totals();
   return snap;
 }
 
@@ -215,7 +220,7 @@ std::shared_ptr<const Snapshot> Snapshot::heal_shard(std::size_t s) const {
   // mapped bytes are what went bad.
   std::vector<Label> labels(*shards_[s].heal_labels);
   snap->shards_[s] = admit(std::move(labels), /*allow_quarantine=*/false);
-  snap->recompute_total_bytes();
+  snap->recompute_totals();
   return snap;
 }
 
@@ -251,7 +256,7 @@ std::shared_ptr<const Snapshot> Snapshot::with_quarantined_shard(
     sh.bytes = 0;
   }
   sh.error = std::move(reason);
-  snap->recompute_total_bytes();
+  snap->recompute_totals();
   return snap;
 }
 

@@ -185,11 +185,10 @@ class Snapshot {
   }
 
   /// Number of quarantined shards (0 on a fully healthy snapshot).
-  std::size_t num_quarantined() const noexcept {
-    std::size_t n = 0;
-    for (const Shard& sh : shards_) n += sh.healthy() ? 0u : 1u;
-    return n;
-  }
+  /// Counted once at construction — the snapshot never changes after —
+  /// so the engine can skip per-query vertex_quarantined() on a healthy
+  /// snapshot for the price of one load.
+  std::size_t num_quarantined() const noexcept { return num_quarantined_; }
 
   /// True when quarantined shard s retains a heal source (labels kept
   /// from before serialization / extracted before demotion) and a
@@ -285,11 +284,13 @@ class Snapshot {
   /// Clone sharing every shard slot (shared_ptr copies), fresh id.
   std::shared_ptr<Snapshot> clone_shards() const;
 
-  void recompute_total_bytes() noexcept;
+  /// Recounts total_bytes_ and num_quarantined_ after shards_ is final.
+  void recompute_totals() noexcept;
 
   ShardMap map_;
   std::vector<Shard> shards_;
   std::uint64_t total_bytes_ = 0;
+  std::size_t num_quarantined_ = 0;
   std::uint64_t id_ = 0;
 };
 

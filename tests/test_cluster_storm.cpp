@@ -122,11 +122,21 @@ class ChildNode {
   std::uint16_t port() const noexcept { return port_; }
   pid_t pid() const noexcept { return pid_; }
 
+  // Both return once the signal has taken effect. kill() only queues it,
+  // and a loaded machine can leave the child running long enough to
+  // answer the first requests sent after it "died". kill9 waits for the
+  // exit without reaping it (WNOWAIT), so reap() still owns the pid.
   void kill9() const {
-    if (pid_ > 0) ::kill(pid_, SIGKILL);
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGKILL);
+    siginfo_t info{};
+    ::waitid(P_PID, static_cast<id_t>(pid_), &info, WEXITED | WNOWAIT);
   }
   void stop_clock() const {
-    if (pid_ > 0) ::kill(pid_, SIGSTOP);
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGSTOP);
+    int status = 0;
+    ::waitpid(pid_, &status, WUNTRACED);
   }
 
   void reap() {

@@ -177,7 +177,86 @@ TEST(Metrics, AggregateSumsWorkerSlots) {
   EXPECT_NE(json.find("\"latency_hist\":[[64,3]]"), std::string::npos);
 }
 
+TEST(Metrics, RecordNFilesCountSamplesInOneBucket) {
+  MetricsRegistry reg(1);
+  reg.slot(0).latency.record_n(100, 256);
+  reg.slot(0).latency.record_n(5000, 3);
+  const ServiceStats s = reg.aggregate();
+  EXPECT_EQ(s.latency_buckets[latency_bucket(100)], 256u);
+  EXPECT_EQ(s.latency_buckets[latency_bucket(5000)], 3u);
+  EXPECT_EQ(s.latency_quantile_ns(0.5), latency_bucket_floor(6));
+}
+
 // ------------------------------------------------------------ QueryService
+
+// One multi-chunk batch through several workers that mixes valid
+// queries, u >= n (the counting sort's extra bucket), v >= n, and queries
+// against a quarantined shard. Chunks answer in shard order and flush
+// their counters once, so this checks that every result still lands at
+// its own index and every counter comes out exact.
+TEST(QueryService, MultiChunkBatchKeepsPositionsAndExactCounters) {
+  const Graph g = test_graph(600, 41);
+  const auto enc = test_encoding(g);
+  const std::uint64_t n = g.num_vertices();
+  constexpr std::size_t kBad = 2;
+  QueryService svc(
+      Snapshot::build(enc.labeling, 8)->with_quarantined_shard(kBad, "test"),
+      {.threads = 3, .chunk = 64, .heal = false});
+  const ShardMap map = svc.snapshot()->shard_map();
+
+  Rng rng = stream_rng(4242, 0);
+  std::vector<QueryRequest> batch;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    QueryRequest q{rng.next_below(n), rng.next_below(n)};
+    if (i % 10 == 1 && g.degree(static_cast<Vertex>(q.u)) != 0) {
+      q.v = g.neighbors(static_cast<Vertex>(q.u)).front();  // a positive
+    } else if (i % 10 == 3) {
+      q.u = n + rng.next_below(5);
+    } else if (i % 10 == 6) {
+      q.v = n + i;
+    } else if (i % 10 == 9) {
+      q.u = ~std::uint64_t{0};
+    }
+    batch.push_back(q);
+  }
+  const auto results = svc.query_batch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+
+  std::uint64_t ok = 0, positive = 0, range = 0, quarantined = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const QueryRequest& q = batch[i];
+    if (q.u >= n || q.v >= n) {
+      ASSERT_EQ(results[i].status, QueryStatus::kOutOfRange) << "i=" << i;
+      ++range;
+    } else if (map.shard_of(q.u) == kBad || map.shard_of(q.v) == kBad) {
+      ASSERT_EQ(results[i].status, QueryStatus::kCorrupt) << "i=" << i;
+      ++quarantined;
+    } else {
+      ASSERT_EQ(results[i].status, QueryStatus::kOk) << "i=" << i;
+      const bool oracle = thin_fat_adjacent(
+          enc.labeling[static_cast<Vertex>(q.u)],
+          enc.labeling[static_cast<Vertex>(q.v)]);
+      ASSERT_EQ(results[i].adjacent, oracle) << "i=" << i;
+      ++ok;
+      positive += oracle ? 1u : 0u;
+    }
+  }
+  ASSERT_GT(quarantined, 0u);
+  ASSERT_GT(positive, 0u);
+
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.queries, batch.size());
+  EXPECT_EQ(stats.batches, (batch.size() + 63) / 64);
+  EXPECT_EQ(stats.view_hits, ok);
+  EXPECT_EQ(stats.positive, positive);
+  EXPECT_EQ(stats.range_errors, range);
+  EXPECT_EQ(stats.quarantine_hits, quarantined);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_EQ(stats.corruptions, 0u);
+  std::uint64_t samples = 0;
+  for (const std::uint64_t c : stats.latency_buckets) samples += c;
+  EXPECT_EQ(samples, stats.queries);
+}
 
 TEST(QueryService, BatchMatchesOracle) {
   const Graph g = test_graph(400);
@@ -346,11 +425,14 @@ TEST(QueryService, HotSwapUnderQueryStorm) {
     }
   });
 
+  // Callers keep going past their 15 batches until the swapper has
+  // installed two snapshots, so the storm always overlaps real swaps
+  // however fast the batches are (the cap only bounds a stuck swapper).
   std::vector<std::thread> callers;
   for (int c = 0; c < 3; ++c) {
     callers.emplace_back([&, c] {
       Rng rng = stream_rng(0x50, static_cast<std::uint64_t>(c));
-      for (int b = 0; b < 15; ++b) {
+      for (int b = 0; b < 15 || (svc.generation() < 2 && b < 100000); ++b) {
         std::vector<QueryRequest> batch;
         for (int i = 0; i < 200; ++i) {
           batch.push_back({rng.next_below(g.num_vertices()),

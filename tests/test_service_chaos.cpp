@@ -242,6 +242,50 @@ TEST(QueryServiceDeadline, SlowWorkersYieldPartialResults) {
   EXPECT_EQ(svc.stats().deadline_exceeded, expired);
 }
 
+// A deadline that expires while one big chunk is running: the per-query
+// cancel check stops the chunk part-way, its answered prefix is counted
+// as queries and the rest as deadline_exceeded — both flushed by the
+// chunk's early exit. Whether a given attempt lands mid-chunk depends on
+// this machine's speed, so the deadline is searched for: doubled when
+// nothing was answered, halved when everything was.
+TEST(QueryServiceDeadline, DeadlineMidChunkFlushesBothCounts) {
+  const Graph g = chaos_graph(400, 23);
+  const auto enc = thin_fat_encode(g, 12);
+  Rng rng = stream_rng(23, 1);
+  std::vector<QueryRequest> batch;
+  for (int i = 0; i < (1 << 16); ++i) {
+    batch.push_back({rng.next_below(g.num_vertices()),
+                     rng.next_below(g.num_vertices())});
+  }
+  bool mid_chunk = false;
+  std::chrono::microseconds budget(1000);
+  for (int attempt = 0; attempt < 24 && !mid_chunk; ++attempt) {
+    QueryService svc(Snapshot::build(enc.labeling, 4),
+                     {.threads = 1, .chunk = batch.size()});
+    BatchOptions bopt;
+    bopt.deadline = std::chrono::steady_clock::now() + budget;
+    const auto results = svc.query_batch(batch, bopt);
+    ASSERT_EQ(results.size(), batch.size());
+    std::uint64_t answered = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (results[i].status == QueryStatus::kDeadlineExceeded) continue;
+      ASSERT_EQ(results[i].status, QueryStatus::kOk);
+      ASSERT_EQ(results[i].adjacent, oracle_adjacent(g, batch[i]));
+      ++answered;
+    }
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.queries, answered);
+    EXPECT_EQ(stats.queries + stats.deadline_exceeded, batch.size());
+    std::uint64_t samples = 0;
+    for (const std::uint64_t c : stats.latency_buckets) samples += c;
+    EXPECT_EQ(samples, stats.queries);
+    mid_chunk = answered > 0 && answered < batch.size();
+    budget = answered == 0 ? budget * 2 : budget / 2;
+  }
+  EXPECT_TRUE(mid_chunk) << "no attempt's deadline expired mid-chunk";
+}
+
 TEST(QueryServiceDeadline, GenerousDeadlineAnswersEverything) {
   const Graph g = chaos_graph(200, 15);
   const auto enc = thin_fat_encode(g, 12);

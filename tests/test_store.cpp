@@ -681,6 +681,59 @@ TEST(SnapshotMappedHeal, QuarantineExtractsHealSourceFromDisk) {
   }
 }
 
+TEST(SnapshotMappedHeal, LazyCrcFailureIsChargedToTheFailingShard) {
+  const Graph g = store_graph(400, 119);
+  const Labeling labeling = encode_labels(g);
+  const std::string path = temp_path("v3_blame.plgl");
+  StoreWriter::write_file(path, labeling, 4);
+
+  // Find a map-flip seed whose one flip lands in a shard's payload: that
+  // shard admits (its offsets table is intact) and fails its lazy CRC on
+  // first touch, while the other shards stay clean. The flip positions
+  // are a pure function of (seed, span size), so the search is
+  // deterministic.
+  std::shared_ptr<const Snapshot> snap;
+  std::size_t bad = 4;
+  std::size_t good = 4;
+  for (std::uint64_t seed = 1; seed < 64 && bad == 4; ++seed) {
+    fault::ScopedFault fp(fault::FaultPlan::parse_spec(
+        "seed=" + std::to_string(seed) + ",map-flip=1"));
+    snap = Snapshot::from_file(path, 4, StoreVerify::kStrict,
+                               /*allow_quarantine=*/true);
+    bad = good = 4;
+    for (std::size_t s = 0; s < snap->num_shards(); ++s) {
+      if (snap->shard_quarantined(s)) continue;
+      const bool intact =
+          snap->view(snap->shard_map().shard_begin(s)) != nullptr;
+      if (!intact && bad == 4) bad = s;
+      if (intact && good == 4) good = s;
+    }
+    if (good == 4) bad = 4;
+  }
+  ASSERT_LT(bad, 4u) << "no seed put its flip in one shard's payload";
+  ASSERT_LT(good, 4u);
+
+  // u's shard is clean and v's failed its CRC: view(v) is null, the
+  // materializing fallback fetches u fine and get(v) throws. Every
+  // failure must count against v's shard, so it is v's shard that
+  // reaches quarantine_after and is demoted, and u's keeps serving.
+  QueryService svc(snap, ServiceOptions{.threads = 1,
+                                        .quarantine_after = 3,
+                                        .heal = false});
+  const std::uint64_t u = snap->shard_map().shard_begin(good);
+  const std::uint64_t v = snap->shard_map().shard_begin(bad);
+  snap.reset();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(svc.query({u, v}).status, QueryStatus::kCorrupt);
+  }
+  const auto after = svc.snapshot();
+  EXPECT_TRUE(after->shard_quarantined(bad));
+  EXPECT_FALSE(after->shard_quarantined(good));
+  EXPECT_EQ(after->num_quarantined(), 1u);
+  EXPECT_EQ(svc.query({u, u}).status, QueryStatus::kOk);
+  EXPECT_EQ(svc.stats().corruptions, 3u);
+}
+
 // ------------------------------------------------------------ differential
 
 /// Label bits, LSB-first, as a byte buffer corrupt_buffer can chew on.
