@@ -3,9 +3,9 @@
 // The storage subsystem (src/store/) claims that a v3 snapshot admission
 // is O(header + directory + plan build) — open the mapping, validate the
 // geometry, parse per-label decode plans that alias the mapping — while
-// the v2 heap path pays a full strict parse, a per-shard re-serialize +
-// re-parse through the CRC admission gate, and a copy of every label
-// byte into serving memory. This harness measures both ends of that
+// the v2 "heap" path pays a full strict parse, then re-packs every shard
+// into an in-memory v3 image whose CRC it checks at once — a copy of
+// every label byte into serving memory. This harness measures both ends of that
 // trade on the Theorem 3 workload:
 //
 //   1. generate a Chung-Lu power-law graph (default n = 2^22, alpha

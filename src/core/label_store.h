@@ -118,13 +118,6 @@ class LabelStore {
   const std::uint64_t* bits_data() const noexcept { return bits_.data(); }
   std::uint64_t bit_offset(std::size_t i) const { return offsets_[i]; }
 
-  /// The full cumulative offset table (n+1 entries), for plan builders
-  /// that walk a whole store (store/plan_builder.h). Same lifetime and
-  /// immutability contract as bits_data().
-  const std::uint64_t* offsets_data() const noexcept {
-    return offsets_.data();
-  }
-
   /// Spot-check: re-derives label i's checksum and compares it against the
   /// stored per-label sum. Always true for v1 stores (no sums persisted).
   bool verify_label(std::size_t i) const;

@@ -87,9 +87,9 @@ class PLG_POINTS_INTO(store, mapped, words, labels, label) LabelView {
 
   /// True when the two plans decode identically: every parsed field
   /// agrees except the storage pointer (two views over different copies
-  /// of the same bits — e.g. serial vs parallel admission, or heap vs
-  /// mmap backing — compare equal). Invalid views compare equal to each
-  /// other.
+  /// of the same bits — e.g. serial vs parallel admission, or in-memory
+  /// vs mmap'd v3 shards — compare equal). Invalid views compare equal to
+  /// each other.
   [[nodiscard]] bool plan_equals(const LabelView& o) const noexcept {
     return payload_ == o.payload_ && end_ == o.end_ && id_ == o.id_ &&
            count_ == o.count_ && width_ == o.width_ && fat_ == o.fat_ &&

@@ -56,7 +56,7 @@ namespace plg::service {
 struct ServeOptions {
   std::size_t num_shards = 16;               ///< shard count for RELOAD
   StoreVerify verify = StoreVerify::kStrict;  ///< RELOAD parse mode
-  /// RELOAD admits shards that fail the strict re-parse as quarantined
+  /// RELOAD admits shards that fail the admission CRC as quarantined
   /// (self-healing) instead of rejecting the whole file.
   bool quarantine = true;
   /// Longest accepted input line, in bytes (command + arguments).

@@ -1,11 +1,13 @@
 #include "service/snapshot.h"
 
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "service/thread_pool.h"
 #include "store/plan_builder.h"
+#include "store/store_writer.h"
 #include "util/errors.h"
 #include "util/fault_injection.h"
 
@@ -53,6 +55,18 @@ void for_each_shard(std::size_t count, unsigned workers,
   if (error) std::rethrow_exception(error);
 }
 
+/// Shard s's labels re-read CRC-gated from its store's source, or null
+/// when those bytes are bad too (the shard is then unhealable).
+std::shared_ptr<const std::vector<Label>> heal_source(
+    const store::MappedStore& store, std::size_t s) {
+  try {
+    return std::make_shared<const std::vector<Label>>(
+        store.read_shard_labels(s));
+  } catch (const DecodeError&) {
+    return nullptr;
+  }
+}
+
 }  // namespace
 
 Snapshot::Snapshot()
@@ -60,47 +74,55 @@ Snapshot::Snapshot()
 
 Snapshot::Shard Snapshot::admit(std::vector<Label> labels,
                                 bool allow_quarantine) {
-  // Round-trips the labels through the checksummed v2 codec. The strict
-  // re-parse is the admission check: a shard is either CRC-clean or this
-  // throws / quarantines. The Labeling stays alive past the parse so a
-  // failed admission can keep its labels as the heal source.
+  // The Labeling outlives the CRC check so a failed admission can keep
+  // its labels as the heal source.
   Labeling part(std::move(labels));
-  auto blob = LabelStore::serialize(part);
-  Shard shard;
-  shard.bytes = blob.size();
-  // Chaos injection point: the plan may flip one bit of the fresh blob
-  // here, between serialize and the strict re-parse, modeling memory or
-  // bus corruption during a reload.
-  fault::on_shard_admission(blob);
+  std::vector<std::uint8_t> image = store::StoreWriter::serialize(part, 1);
+  // Chaos injection point: the plan may flip one bit of the fresh region
+  // here, modeling memory or bus corruption during a reload.
+  const std::size_t region_at = store::kHeaderBytes + store::kDirEntryBytes;
+  fault::on_shard_admission(std::span(image).subspan(region_at));
   try {
-    shard.store = std::make_shared<const LabelStore>(
-        LabelStore::parse(std::move(blob), StoreVerify::kStrict));
-    // Admission is also where decode plans are built: one header parse
-    // per label, amortized over every query the snapshot will ever
-    // serve (store/plan_builder.h — the same materialization stage the
-    // mmap path runs per shard).
-    shard.views = std::make_shared<const std::vector<LabelView>>(
-        store::build_plans(shard.store->bits_data(),
-                           shard.store->offsets_data(),
-                           shard.store->size()));
+    auto shard_store = store::MappedStore::from_image(image);
+    if (!shard_store->shard_intact(0)) {
+      throw CorruptionError("shard region", region_at,
+                            "checksum mismatch at snapshot admission");
+    }
+    return plan_shard(std::move(shard_store), 0);
   } catch (const DecodeError& e) {
     if (!allow_quarantine) throw;
-    shard.store = nullptr;
-    shard.views = nullptr;
-    shard.bytes = 0;
+    Shard shard;
     shard.error = e.what();
     shard.heal_labels =
         std::make_shared<const std::vector<Label>>(part.labels());
+    return shard;
   }
-  return shard;
 }
 
-std::shared_ptr<Snapshot> Snapshot::clone_shards() const {
+Snapshot::Shard Snapshot::plan_shard(
+    std::shared_ptr<const store::MappedStore> store, std::size_t s) {
+  // Structural gate first: with the offset table proven, plan building
+  // (and any later BitReader walk) stays inside the store's bytes even
+  // though a v3 file's shard CRC has not been checked yet.
+  const auto labels = static_cast<std::size_t>(store->shard_labels(s));
+  store::validate_offsets(store->shard_offsets(s), labels,
+                          store->shard_total_bits(s));
+  Shard sh;
+  sh.views = std::make_shared<const std::vector<LabelView>>(
+      store::build_plans(store->shard_bits(s), store->shard_offsets(s),
+                         labels));
+  sh.store = std::move(store);
+  sh.index = s;
+  return sh;
+}
+
+std::shared_ptr<const Snapshot> Snapshot::with_shard(std::size_t s,
+                                                     Shard shard) const {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->map_ = map_;
   snap->shards_ = shards_;  // shared_ptr copies; no label data moves
-  snap->total_bytes_ = total_bytes_;
-  snap->num_quarantined_ = num_quarantined_;
+  snap->shards_[s] = std::move(shard);
+  snap->recompute_totals();
   return snap;
 }
 
@@ -108,17 +130,17 @@ void Snapshot::recompute_totals() noexcept {
   total_bytes_ = 0;
   num_quarantined_ = 0;
   for (const Shard& sh : shards_) {
-    total_bytes_ += sh.bytes;
+    total_bytes_ += sh.healthy() ? sh.store->shard_bytes(sh.index) : 0u;
     num_quarantined_ += sh.healthy() ? 0u : 1u;
   }
 }
 
-std::shared_ptr<const Snapshot> Snapshot::build(const Labeling& labeling,
-                                                std::size_t num_shards,
-                                                bool allow_quarantine,
-                                                unsigned build_workers) {
+std::shared_ptr<const Snapshot> Snapshot::admit_all(
+    std::uint64_t n, std::size_t num_shards, bool allow_quarantine,
+    unsigned build_workers,
+    const std::function<Label(std::uint64_t)>& label_of) {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->map_ = ShardMap(labeling.size(), num_shards);
+  snap->map_ = ShardMap(n, num_shards);
   snap->shards_.resize(snap->map_.num_shards());
   for_each_shard(
       snap->map_.num_shards(), build_workers, [&](std::size_t s) {
@@ -127,12 +149,22 @@ std::shared_ptr<const Snapshot> Snapshot::build(const Labeling& labeling,
         const std::uint64_t end = snap->map_.shard_end(s);
         part.reserve(static_cast<std::size_t>(end - begin));
         for (std::uint64_t v = begin; v < end; ++v) {
-          part.push_back(labeling[static_cast<Vertex>(v)]);
+          part.push_back(label_of(v));
         }
         snap->shards_[s] = admit(std::move(part), allow_quarantine);
       });
   snap->recompute_totals();
   return snap;
+}
+
+std::shared_ptr<const Snapshot> Snapshot::build(const Labeling& labeling,
+                                                std::size_t num_shards,
+                                                bool allow_quarantine,
+                                                unsigned build_workers) {
+  return admit_all(labeling.size(), num_shards, allow_quarantine,
+                   build_workers, [&labeling](std::uint64_t v) {
+                     return labeling[static_cast<Vertex>(v)];
+                   });
 }
 
 std::shared_ptr<const Snapshot> Snapshot::from_file(const std::string& path,
@@ -146,118 +178,56 @@ std::shared_ptr<const Snapshot> Snapshot::from_file(const std::string& path,
     return from_mapped(path, allow_quarantine, build_workers);
   }
   const LabelStore whole = LabelStore::open_file(path, verify);
-  auto snap = std::shared_ptr<Snapshot>(new Snapshot());
-  snap->map_ = ShardMap(whole.size(), num_shards);
-  snap->shards_.resize(snap->map_.num_shards());
-  for_each_shard(
-      snap->map_.num_shards(), build_workers, [&](std::size_t s) {
-        std::vector<Label> part;
-        const std::uint64_t begin = snap->map_.shard_begin(s);
-        const std::uint64_t end = snap->map_.shard_end(s);
-        part.reserve(static_cast<std::size_t>(end - begin));
-        for (std::uint64_t v = begin; v < end; ++v) {
-          part.push_back(whole.get(static_cast<std::size_t>(v)));
-        }
-        snap->shards_[s] = admit(std::move(part), allow_quarantine);
-      });
-  snap->recompute_totals();
-  return snap;
+  return admit_all(whole.size(), num_shards, allow_quarantine, build_workers,
+                   [&whole](std::uint64_t v) { return whole.get(v); });
 }
 
 std::shared_ptr<const Snapshot> Snapshot::from_mapped(const std::string& path,
                                                       bool allow_quarantine,
                                                       unsigned build_workers) {
   // Header/directory failures always throw (an unreadable source is
-  // never quarantined, matching the heap path's file-parse contract).
-  const std::shared_ptr<const store::MappedStore> mapped =
-      store::MappedStore::open(path);
+  // never quarantined, matching the v1/v2 file-parse contract).
+  const auto mapped = store::MappedStore::open(path);
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->map_ = ShardMap(mapped->num_labels(), mapped->num_shards());
   snap->shards_.resize(mapped->num_shards());
   for_each_shard(
       mapped->num_shards(), build_workers, [&](std::size_t s) {
-        Shard sh;
         try {
-          // Structural gate first: with the offset table proven, plan
-          // building (and any later BitReader walk) stays inside the
-          // mapping even though the shard's CRC has not been checked yet.
-          store::validate_offsets(
-              mapped->shard_offsets(s),
-              static_cast<std::size_t>(mapped->shard_labels(s)),
-              mapped->shard_total_bits(s));
-          sh.views = std::make_shared<const std::vector<LabelView>>(
-              store::build_plans(
-                  mapped->shard_bits(s), mapped->shard_offsets(s),
-                  static_cast<std::size_t>(mapped->shard_labels(s))));
-          sh.mapped = mapped;
-          sh.mapped_index = s;
-          sh.bytes = mapped->shard_bytes(s);
+          snap->shards_[s] = plan_shard(mapped, s);
         } catch (const DecodeError& e) {
           if (!allow_quarantine) throw;
-          sh = Shard();
-          sh.error = e.what();
           // A structurally bad offsets table usually means the region
           // rotted wholesale; the disk re-read (CRC-gated) decides
           // whether a heal source exists at all.
-          try {
-            sh.heal_labels = std::make_shared<const std::vector<Label>>(
-                mapped->read_shard_labels(s));
-          } catch (const DecodeError&) {
-            sh.heal_labels = nullptr;
-          }
+          snap->shards_[s].error = e.what();
+          snap->shards_[s].heal_labels = heal_source(*mapped, s);
         }
-        snap->shards_[s] = std::move(sh);
       });
   snap->recompute_totals();
   return snap;
 }
 
 std::shared_ptr<const Snapshot> Snapshot::heal_shard(std::size_t s) const {
-  auto snap = clone_shards();
-  // Copy the heal source: a failed re-admission must leave the original
-  // snapshot's heal_labels intact for the next attempt. The healed shard
-  // is always heap-backed, even in an otherwise mmap'd snapshot — its
-  // mapped bytes are what went bad.
-  std::vector<Label> labels(*shards_[s].heal_labels);
-  snap->shards_[s] = admit(std::move(labels), /*allow_quarantine=*/false);
-  snap->recompute_totals();
-  return snap;
+  // admit() takes a copy of the heal source: a failed re-admission must
+  // leave the original snapshot's heal_labels intact for the next
+  // attempt. The healed shard comes back as a one-shard in-memory image,
+  // even in an otherwise mmap'd snapshot — its mapped bytes went bad.
+  return with_shard(s, admit(*shards_[s].heal_labels,
+                             /*allow_quarantine=*/false));
 }
 
 std::shared_ptr<const Snapshot> Snapshot::with_quarantined_shard(
     std::size_t s, std::string reason) const {
-  auto snap = clone_shards();
-  Shard& sh = snap->shards_[s];
-  if (sh.healthy()) {
-    // Extract a heal source from the shard being demoted. A mapped
-    // shard re-reads its bytes from the FILE (not the suspect mapping),
-    // CRC-gated — memory-side rot of a clean file heals; on-disk rot
-    // makes the shard unhealable. A heap shard decodes from its store's
-    // bits; any label that no longer decodes makes the shard unhealable
-    // rather than propagating the throw.
-    try {
-      std::vector<Label> labels;
-      if (sh.mapped != nullptr) {
-        labels = sh.mapped->read_shard_labels(sh.mapped_index);
-      } else {
-        labels.reserve(sh.store->size());
-        for (std::size_t i = 0; i < sh.store->size(); ++i) {
-          labels.push_back(sh.store->get(i));
-        }
-      }
-      sh.heal_labels =
-          std::make_shared<const std::vector<Label>>(std::move(labels));
-    } catch (const DecodeError&) {
-      sh.heal_labels = nullptr;
-    }
-    sh.store = nullptr;
-    sh.mapped = nullptr;
-    sh.views = nullptr;
-    sh.bytes = 0;
-  }
+  // A demoted v3-file shard re-reads its heal source from the FILE, not
+  // the suspect mapping — memory-side rot of a clean file heals; on-disk
+  // rot makes the shard unhealable. An in-memory image re-reads itself.
+  const Shard& old = shards_[s];
+  Shard sh;
   sh.error = std::move(reason);
-  snap->recompute_totals();
-  return snap;
+  sh.heal_labels =
+      old.healthy() ? heal_source(*old.store, old.index) : old.heal_labels;
+  return with_shard(s, std::move(sh));
 }
 
 }  // namespace plg::service

@@ -4,15 +4,15 @@
 // Lifecycle protocol (the heart of non-blocking serving):
 //
 //   1. A Snapshot is built OFF the serving path — from a Labeling or a
-//      .plgl file — sharded by vertex id via ShardMap. A heap-backed
-//      shard (in-memory build, v1/v2 files) is a LabelStore that has
-//      passed a full strict (CRC) parse, so admission to serving memory
-//      implies integrity. A v3 file instead mmap's in (store::MappedStore)
-//      and shards alias the mapping: admission validates only the header
-//      + shard directory and builds decode plans, deferring each shard's
-//      CRC to its first query — integrity is still enforced before any
-//      answer, just lazily, and a first-touch mismatch demotes the shard
-//      into the ordinary quarantine + self-heal pipeline below.
+//      .plgl file — sharded by vertex id via ShardMap. Every shard is a
+//      region of a v3 store (store::MappedStore). An in-memory build,
+//      a v1/v2 file or a healed shard is packed into a one-shard v3
+//      image whose CRC is checked at admission. A v3 file mmap's in and
+//      its shards alias the mapping: admission validates only the
+//      header + shard directory and builds decode plans, deferring each
+//      shard's CRC to its first query — integrity is still enforced
+//      before any answer, just lazily, and a first-touch mismatch
+//      demotes the shard into the quarantine + self-heal pipeline below.
 //   2. Once constructed a Snapshot is never mutated. All accessors are
 //      const and touch only immutable state; any number of threads may
 //      read one concurrently without synchronization.
@@ -32,13 +32,13 @@
 // started on.
 //
 // Quarantine (fault isolation at shard granularity): with
-// allow_quarantine, a shard that fails its strict admission re-parse is
-// admitted in a *quarantined* state — no LabelStore, queries against its
-// vertex range answer kCorrupt in-band — instead of failing the whole
-// build. A quarantined shard retains its pre-serialization labels as the
-// heal source; heal_shard() produces a successor snapshot (healthy
-// shards shared by pointer, no re-encode) in which the shard has been
-// re-admitted through the same strict gate. with_quarantined_shard()
+// allow_quarantine, a shard that fails its admission CRC is admitted in
+// a *quarantined* state — no store, queries against its vertex range
+// answer kCorrupt in-band — instead of failing the whole build. A
+// quarantined shard retains its pre-serialization labels as the heal
+// source; heal_shard() produces a successor snapshot (healthy shards
+// shared by pointer, no re-encode) in which the shard has been
+// re-admitted through the same CRC gate. with_quarantined_shard()
 // goes the other way: it demotes a shard whose bits turned out to be bad
 // at query time. Both return *new* snapshots with new ids — worker
 // caches tag by snapshot id, so healing naturally invalidates any stale
@@ -57,6 +57,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,14 +79,14 @@ using store::ShardMap;
 
 class Snapshot {
  public:
-  /// Builds a snapshot from an in-memory labeling. Each shard is
-  /// serialized to the checksummed v2 format and re-parsed strictly, so
-  /// the snapshot's bits carry CRC protection end to end. With
-  /// `allow_quarantine`, a shard failing that re-parse is quarantined
+  /// Builds a snapshot from an in-memory labeling. Each shard is packed
+  /// into a one-shard v3 image and its region CRC is checked right
+  /// away, so the snapshot's bits carry CRC protection end to end. With
+  /// `allow_quarantine`, a shard failing that check is quarantined
   /// (served kCorrupt, healable) instead of aborting the build; without
   /// it the failure propagates as CorruptionError.
   /// `build_workers` caps the admission ThreadPool (0 = hardware
-  /// concurrency). Admission — serialize, strict re-parse, and plan
+  /// concurrency). Admission — serialize, CRC check, and plan
   /// materialization — runs one job per shard; with an active fault
   /// plan it drops to the serial path so the chaos suites' k-th-call
   /// injection ordinals stay deterministic. Parallel admission is
@@ -96,8 +97,8 @@ class Snapshot {
                                                bool allow_quarantine = false,
                                                unsigned build_workers = 0);
 
-  /// Loads a .plgl file and shards it. `verify` is forwarded to the file
-  /// parse; shard re-encode is always strict (a lenient *file* load can
+  /// Loads a .plgl file and shards it. A v1/v2 file is parsed with
+  /// `verify`, then admitted like build() (a lenient *file* load can
   /// still surface corruption later via per-label spot checks). A file
   /// that fails its own parse always throws — quarantine applies to
   /// per-shard admission only, never to an unreadable source.
@@ -116,48 +117,40 @@ class Snapshot {
   std::uint64_t size() const noexcept { return map_.num_vertices(); }
   std::size_t num_shards() const noexcept { return shards_.size(); }
 
-  /// Materializes the label of vertex v. Thread-safe: LabelStore::get is
-  /// const and reads only immutable words. Precondition: v < size() and
-  /// !vertex_quarantined(v).
-  /// (Mapped shards additionally throw DecodeError when the shard fails
+  /// Materializes the label of vertex v. Thread-safe: MappedStore::get
+  /// is const and reads only immutable words. Precondition: v < size()
+  /// and !vertex_quarantined(v). Throws DecodeError when the shard fails
   /// its first-touch CRC — the engine answers that kCorrupt and demotes
-  /// the shard, exactly like heap-shard rot.)
+  /// the shard.
   Label get(std::uint64_t v) const {
     const Shard& sh = shards_[map_.shard_of(v)];
-    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
-    if (sh.mapped != nullptr) return sh.mapped->get(sh.mapped_index, i);
-    return sh.store->get(i);
+    return sh.store->get(sh.index,
+                         static_cast<std::size_t>(map_.index_in_shard(v)));
   }
 
   /// Size in bits of label v without materializing it. Precondition as
   /// for get().
   std::size_t label_bits(std::uint64_t v) const {
     const Shard& sh = shards_[map_.shard_of(v)];
-    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
-    if (sh.mapped != nullptr) {
-      return static_cast<std::size_t>(sh.mapped->label_bits(sh.mapped_index, i));
-    }
-    return sh.store->size_bits(i);
+    return static_cast<std::size_t>(sh.store->label_bits(
+        sh.index, static_cast<std::size_t>(map_.index_in_shard(v))));
   }
 
   /// Zero-copy decode plan for vertex v's label, or nullptr when the
   /// shard has no plan table (quarantined) or plan construction failed
   /// for this label at admission (the engine then falls back to the
   /// materializing get() + thin_fat_adjacent path). The returned view
-  /// aliases the shard's LabelStore bits and is valid for the snapshot's
+  /// aliases the shard's store bits and is valid for the snapshot's
   /// lifetime. Precondition: v < size().
-  /// Mapped shards gate on the lazy per-shard CRC here: the first view()
-  /// against a shard pays one CRC pass (once_flag), and a mismatch makes
+  /// view() gates on the lazy per-shard CRC: the first view() against a
+  /// v3-file shard pays one CRC pass (once_flag), and a mismatch makes
   /// every plan in the shard unusable (nullptr), routing queries to the
   /// materializing fallback whose get() throws — the quarantine trigger.
   // plglint: noexcept-hot-path
   const LabelView* view(std::uint64_t v) const noexcept PLG_LIFETIME_BOUND {
     const Shard& sh = shards_[map_.shard_of(v)];
-    if (sh.mapped != nullptr && !sh.mapped->shard_intact(sh.mapped_index)) {
-      return nullptr;
-    }
     const std::vector<LabelView>* views = sh.views.get();
-    if (views == nullptr) return nullptr;
+    if (views == nullptr || !sh.store->shard_intact(sh.index)) return nullptr;
     const LabelView& lv =
         (*views)[static_cast<std::size_t>(map_.index_in_shard(v))];
     return lv.valid() ? &lv : nullptr;
@@ -168,9 +161,8 @@ class Snapshot {
   /// these as corruption fallbacks. Precondition as for get().
   bool verify_label(std::uint64_t v) const {
     const Shard& sh = shards_[map_.shard_of(v)];
-    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
-    if (sh.mapped != nullptr) return sh.mapped->verify_label(sh.mapped_index, i);
-    return sh.store->verify_label(i);
+    return sh.store->verify_label(
+        sh.index, static_cast<std::size_t>(map_.index_in_shard(v)));
   }
 
   /// True when shard s was quarantined (admission failed, or the shard
@@ -203,7 +195,7 @@ class Snapshot {
   }
 
   /// Builds a successor snapshot in which quarantined shard s has been
-  /// re-admitted through the strict CRC gate from its retained labels.
+  /// re-admitted through the admission CRC gate from its retained labels.
   /// Healthy shards are shared by pointer (no re-encode, no copy); the
   /// successor gets a fresh id so worker caches self-invalidate.
   /// Precondition: shard_healable(s). Throws CorruptionError when the
@@ -212,26 +204,22 @@ class Snapshot {
   std::shared_ptr<const Snapshot> heal_shard(std::size_t s) const;
 
   /// Builds a successor snapshot in which shard s is quarantined with
-  /// `reason`. The shard's labels are extracted from its current store
-  /// as the heal source where possible (a shard too rotten to decode
-  /// becomes unhealable). Healthy shards are shared by pointer.
+  /// `reason`. Its labels, re-read CRC-gated from its store's source,
+  /// become the heal source (bad source bytes make the shard
+  /// unhealable). Healthy shards are shared by pointer.
   std::shared_ptr<const Snapshot> with_quarantined_shard(
       std::size_t s, std::string reason) const;
 
-  /// Total serialized bytes across healthy shards (observability).
+  /// Total v3 shard-region bytes across healthy shards (observability);
+  /// independent of where the labels came from.
   std::uint64_t total_bytes() const noexcept { return total_bytes_; }
 
-  /// True when shard s serves straight out of an mmap'd v3 store.
-  bool shard_mapped(std::size_t s) const noexcept {
-    return shards_[s].mapped != nullptr;
-  }
-
-  /// The mapped shard's lazy-CRC verdict without triggering verification
-  /// (kVerified always for heap shards — their CRC gate ran eagerly at
-  /// admission).
+  /// Shard s's CRC verdict without triggering verification (in-memory
+  /// shards are kVerified at admission; quarantined ones kUnverified).
   store::ShardCrcState shard_crc_state(std::size_t s) const noexcept {
-    if (shards_[s].mapped == nullptr) return store::ShardCrcState::kVerified;
-    return shards_[s].mapped->shard_crc_state(shards_[s].mapped_index);
+    const Shard& sh = shards_[s];
+    if (!sh.healthy()) return store::ShardCrcState::kUnverified;
+    return sh.store->shard_crc_state(sh.index);
   }
 
   /// Process-unique identity, assigned at construction from a monotonic
@@ -241,39 +229,44 @@ class Snapshot {
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  /// One shard slot with two interchangeable backings: a heap LabelStore
-  /// (v1/v2 admission, and every healed shard) or an aliased slice of an
-  /// mmap'd v3 store. Neither set marks quarantine; heal_labels is the
-  /// (possibly absent) heal source, populated only on quarantine so
-  /// healthy snapshots carry no label copies.
+  /// One shard slot: region `index` of a v3 store — a whole mmap'd file
+  /// (shared by this snapshot's shards, which keep it alive) or a
+  /// one-shard in-memory image. A null store marks quarantine;
+  /// heal_labels is the (possibly absent) heal source, populated only on
+  /// quarantine so healthy snapshots carry no label copies.
   struct Shard {
-    std::shared_ptr<const LabelStore> store;
-    /// v3 backing: the whole-file mapping (shared across this snapshot's
-    /// shards, keeping the mmap alive as long as any shard aliases it)
-    /// plus this shard's index in the file's own partition.
-    std::shared_ptr<const store::MappedStore> mapped;
-    std::size_t mapped_index = 0;
+    std::shared_ptr<const store::MappedStore> store;
+    std::size_t index = 0;
     /// Decode plans, one per label, parsed once at admission. Views alias
-    /// the backing's packed bits, so the members share one lifetime (all
-    /// are copied together by clone_shards). Null iff quarantined.
+    /// the store's packed bits, so the members share one lifetime (all
+    /// are copied together by with_shard). Null iff quarantined.
     /// Labels whose plan construction failed hold an invalid placeholder.
     std::shared_ptr<const std::vector<LabelView>> views;
     std::shared_ptr<const std::vector<Label>> heal_labels;
     std::string error;
-    std::uint64_t bytes = 0;
 
-    bool healthy() const noexcept {
-      return store != nullptr || mapped != nullptr;
-    }
+    bool healthy() const noexcept { return store != nullptr; }
   };
 
   Snapshot();
 
-  /// Serialize + strict re-parse, the single admission gate (and the
-  /// chaos harness's shard-corruption injection point). Throws
+  /// Packs `labels` into a one-shard v3 image and checks its CRC now:
+  /// the admission gate for in-memory labels (and the chaos harness's
+  /// shard-corruption injection point). Throws
   /// CorruptionError on failure unless allow_quarantine, in which case
   /// the returned Shard is quarantined with `labels` as heal source.
   static Shard admit(std::vector<Label> labels, bool allow_quarantine);
+
+  /// Admits label_of(0..n) shard by shard under ShardMap(n, num_shards).
+  static std::shared_ptr<const Snapshot> admit_all(
+      std::uint64_t n, std::size_t num_shards, bool allow_quarantine,
+      unsigned build_workers,
+      const std::function<Label(std::uint64_t)>& label_of);
+
+  /// Every admission's last step: validates shard s's offsets table,
+  /// then builds its plans. Throws DecodeError on a bad table.
+  static Shard plan_shard(std::shared_ptr<const store::MappedStore> store,
+                          std::size_t s);
 
   /// Zero-copy v3 admission: one plan-build job per shard over the
   /// shared mapping (no label bytes are copied or CRC'd here).
@@ -281,8 +274,10 @@ class Snapshot {
                                                      bool allow_quarantine,
                                                      unsigned build_workers);
 
-  /// Clone sharing every shard slot (shared_ptr copies), fresh id.
-  std::shared_ptr<Snapshot> clone_shards() const;
+  /// Successor sharing every other shard slot (shared_ptr copies) with
+  /// slot s replaced by `shard`; fresh id, totals recounted.
+  std::shared_ptr<const Snapshot> with_shard(std::size_t s,
+                                             Shard shard) const;
 
   /// Recounts total_bytes_ and num_quarantined_ after shards_ is final.
   void recompute_totals() noexcept;

@@ -60,7 +60,6 @@ std::uint32_t MappedStore::sniff_file_version(const std::string& path) {
   return read_le<std::uint32_t>(head + 4);
 }
 
-// plglint: untrusted-input
 std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
   // Under an active map-flip plan the mapping must be privately writable
   // so the injected rot stays copy-on-write (the file is never dirtied).
@@ -70,27 +69,53 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
   auto store = std::shared_ptr<MappedStore>(new MappedStore());
   store->path_ = path;
   store->file_ = MappedFile::open(path, writable);
-  const std::uint8_t* base = store->file_.data();
-  const std::uint64_t size = store->file_.size();
+  store->validate(store->file_.data(), store->file_.size());
+
+  // Chaos hook: rot the (copy-on-write) shard payload span. Applied after
+  // validation so injected damage models post-admission memory rot, the
+  // case the lazy CRC + quarantine + disk re-read pipeline must catch.
+  if (writable) {
+    const std::uint64_t payload_at = store->dir_.front().byte_off;
+    fault::on_map_region(store->file_.mutable_data() + payload_at,
+                         static_cast<std::size_t>(store->size_ - payload_at));
+  }
+  return store;
+}
+
+std::shared_ptr<const MappedStore> MappedStore::from_image(
+    const std::vector<std::uint8_t>& image) {
+  auto store = std::shared_ptr<MappedStore>(new MappedStore());
+  store->path_ = "in-memory v3 image";
+  store->image_.resize((image.size() + 7) / 8);
+  auto* words = reinterpret_cast<std::uint8_t*>(store->image_.data());
+  std::copy(image.begin(), image.end(), words);
+  store->validate(words, image.size());
+  return store;
+}
+
+// plglint: untrusted-input
+void MappedStore::validate(const std::uint8_t* base, std::uint64_t size) {
+  data_ = base;
+  size_ = size;
 
   // ---- SIGBUS guard, stage 1: the fixed-size header. Nothing in the
   // mapping is dereferenced before its extent is proven to exist.
   if (size < kHeaderBytes) {
-    throw DecodeError("MappedStore: " + path + " truncated (" +
+    throw DecodeError("MappedStore: " + path_ + " truncated (" +
                       std::to_string(size) + " bytes, header needs " +
                       std::to_string(kHeaderBytes) + ")");
   }
   if (read_le<std::uint32_t>(base) != kMagicV3) {
-    throw DecodeError("MappedStore: bad magic in " + path);
+    throw DecodeError("MappedStore: bad magic in " + path_);
   }
   const auto version = read_le<std::uint32_t>(base + 4);
   if (version != kVersion3) {
-    throw DecodeError("MappedStore: " + path + " is format v" +
+    throw DecodeError("MappedStore: " + path_ + " is format v" +
                       std::to_string(version) +
                       " — only v3 is mmap-servable (use plgtool pack)");
   }
-  store->n_ = read_le<std::uint64_t>(base + 8);
-  store->total_bits_ = read_le<std::uint64_t>(base + 16);
+  n_ = read_le<std::uint64_t>(base + 8);
+  total_bits_ = read_le<std::uint64_t>(base + 16);
   const auto num_shards = read_le<std::uint32_t>(base + 24);
   const auto header_crc = read_le<std::uint32_t>(base + kHeaderCrcAt);
   const auto dir_crc = read_le<std::uint32_t>(base + kDirCrcAt);
@@ -103,7 +128,7 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
 
   // ---- SIGBUS guard, stage 2: the directory extent, then its CRC.
   if (num_shards == 0) {
-    throw DecodeError("MappedStore: " + path + " declares zero shards");
+    throw DecodeError("MappedStore: " + path_ + " declares zero shards");
   }
   if (num_shards > (size - kHeaderBytes) / kDirEntryBytes) {
     throw DecodeError("MappedStore: declared shard count " +
@@ -124,13 +149,13 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
   // (validate_offsets pins the per-shard tables at plan-build time).
   fault::check_untrusted_alloc(dir_bytes + num_shards * sizeof(LazySlot),
                                "MappedStore::open");
-  store->dir_.resize(num_shards);
+  dir_.resize(num_shards);
   std::uint64_t cursor = kHeaderBytes + dir_bytes;
   std::uint64_t sum_labels = 0;
   std::uint64_t sum_bits = 0;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     const std::uint8_t* e = base + kHeaderBytes + s * kDirEntryBytes;
-    ShardDirEntry& entry = store->dir_[s];
+    ShardDirEntry& entry = dir_[s];
     entry.byte_off = read_le<std::uint64_t>(e);
     entry.byte_len = read_le<std::uint64_t>(e + 8);
     entry.label_count = read_le<std::uint64_t>(e + 16);
@@ -162,11 +187,11 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
     sum_bits += entry.total_bits;
   }
   if (cursor != size) {
-    throw DecodeError("MappedStore: " + path + " has " +
+    throw DecodeError("MappedStore: " + path_ + " has " +
                       std::to_string(size - cursor) +
                       " trailing bytes past the last shard region");
   }
-  if (sum_labels != store->n_ || sum_bits != store->total_bits_) {
+  if (sum_labels != n_ || sum_bits != total_bits_) {
     throw DecodeError(
         "MappedStore: shard directory totals disagree with the header");
   }
@@ -174,32 +199,21 @@ std::shared_ptr<const MappedStore> MappedStore::open(const std::string& path) {
   // The file's partition must be the canonical ShardMap one — that is
   // what lets Snapshot route queries with pure arithmetic instead of a
   // per-vertex lookup table.
-  store->map_ = ShardMap(store->n_, num_shards);
-  if (store->map_.num_shards() != num_shards) {
+  map_ = ShardMap(n_, num_shards);
+  if (map_.num_shards() != num_shards) {
     throw DecodeError("MappedStore: shard count " +
                       std::to_string(num_shards) +
                       " is not the canonical partition for " +
-                      std::to_string(store->n_) + " labels");
+                      std::to_string(n_) + " labels");
   }
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (store->dir_[s].label_count != store->map_.shard_size(s)) {
+    if (dir_[s].label_count != map_.shard_size(s)) {
       throw DecodeError("MappedStore: shard " + std::to_string(s) +
                         " label count disagrees with the ShardMap partition");
     }
   }
 
-  store->lazy_ = std::make_unique<LazySlot[]>(num_shards);
-
-  // Chaos hook: rot the (copy-on-write) shard payload span. Applied after
-  // validation so injected damage models post-admission memory rot, the
-  // case the lazy CRC + quarantine + disk re-read pipeline must catch.
-  if (writable) {
-    fault::on_map_region(store->file_.mutable_data() + kHeaderBytes +
-                             dir_bytes,
-                         static_cast<std::size_t>(size - kHeaderBytes -
-                                                  dir_bytes));
-  }
-  return store;
+  lazy_ = std::make_unique<LazySlot[]>(num_shards);
 }
 
 const std::uint64_t* MappedStore::shard_offsets(std::size_t s) const noexcept {
@@ -267,32 +281,37 @@ std::vector<Label> MappedStore::read_shard_labels(std::size_t s) const {
     throw DecodeError("MappedStore: shard index out of range");
   }
   const ShardDirEntry& e = dir_[s];
-  // Word-typed buffer: byte_len is a multiple of 8 by construction and
-  // the offsets/bits views below need 8-byte alignment.
-  std::vector<std::uint64_t> region(
-      static_cast<std::size_t>(e.byte_len / 8));
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    throw DecodeError("MappedStore: cannot re-open " + path_ +
-                      " for shard heal");
+  // A file is re-read (its mapping may have rotted); an image reads itself.
+  std::vector<std::uint64_t> reread;
+  const std::uint64_t* region = shard_offsets(s);
+  if (image_.empty()) {
+    // Word-typed buffer: byte_len is a multiple of 8 by construction and
+    // the offsets/bits views below need 8-byte alignment.
+    reread.resize(static_cast<std::size_t>(e.byte_len / 8));
+    std::ifstream in(path_, std::ios::binary);
+    if (!in) {
+      throw DecodeError("MappedStore: cannot re-open " + path_ +
+                        " for shard heal");
+    }
+    in.seekg(static_cast<std::streamoff>(e.byte_off));
+    in.read(reinterpret_cast<char*>(reread.data()),
+            static_cast<std::streamsize>(e.byte_len));
+    if (in.gcount() != static_cast<std::streamsize>(e.byte_len)) {
+      throw DecodeError("MappedStore: short read re-loading shard " +
+                        std::to_string(s) + " from " + path_);
+    }
+    region = reread.data();
   }
-  in.seekg(static_cast<std::streamoff>(e.byte_off));
-  in.read(reinterpret_cast<char*>(region.data()),
-          static_cast<std::streamsize>(e.byte_len));
-  if (in.gcount() != static_cast<std::streamsize>(e.byte_len)) {
-    throw DecodeError("MappedStore: short read re-loading shard " +
-                      std::to_string(s) + " from " + path_);
-  }
-  // The re-read bytes must match the directory CRC on their own: a shard
-  // that is rotten ON DISK is unhealable from this file, and pretending
+  // The source bytes must match the directory CRC on their own: a shard
+  // that is rotten at its source is unhealable from it, and pretending
   // otherwise would re-admit bad bits.
-  if (crc32c(region.data(), static_cast<std::size_t>(e.byte_len)) != e.crc) {
+  if (crc32c(region, static_cast<std::size_t>(e.byte_len)) != e.crc) {
     throw DecodeError("MappedStore: shard " + std::to_string(s) +
-                      " is corrupt on disk; cannot heal from " + path_);
+                      " is corrupt in " + path_ + "; cannot heal");
   }
-  const std::uint64_t* offsets = region.data();
+  const std::uint64_t* offsets = region;
   const std::uint64_t* bits =
-      region.data() + bits_offset_in_region(e.label_count) / 8;
+      region + bits_offset_in_region(e.label_count) / 8;
   // The re-read table gets the same honesty check the mapped one gets in
   // verify_shard_once — a CRC-consistent hostile file must not steer the
   // decode loop outside `region`.

@@ -1,11 +1,12 @@
 // MappedStore: zero-copy reader for the .plgl v3 layout
-// (store/format_v3.h) over one MappedFile.
+// (store/format_v3.h) over one byte owner: an mmap'd file (open) or an
+// in-memory image (from_image), validated and read the same way.
 //
 // Admission is O(milliseconds), not O(store): open() maps the file,
 // eagerly validates only the header + shard directory (their CRCs plus
-// full structural bounds against the real file size — the SIGBUS guard:
-// after open() succeeds, every byte any accessor can reach is inside the
-// mapping), and defers shard-payload CRCs entirely.
+// full structural bounds against the real byte count — the SIGBUS guard:
+// after validation succeeds, every byte any accessor can reach is inside
+// the owner's bytes), and defers shard-payload CRCs entirely.
 //
 // Lazy per-shard integrity — the state machine:
 //
@@ -13,7 +14,7 @@
 //   kUnverified  ── call_once: CRC-32C over the region ──▶  kVerified
 //                                      └────────────────▶  kCorrupt
 //
-// The transition runs at most once per shard per mapping (std::once_flag;
+// The transition runs at most once per shard per store (std::once_flag;
 // concurrent first touches block until the winner publishes) and the
 // verdict is sticky. get()/load_shard() refuse a shard that is not
 // kVerified by throwing DecodeError, which is precisely the engine's
@@ -67,6 +68,12 @@ class MappedStore {
   /// alias the mapping and must keep it alive collectively.
   static std::shared_ptr<const MappedStore> open(const std::string& path);
 
+  /// open() over a copy of an in-memory v3 image (shard CRCs stay lazy),
+  /// held as u64 words so the offsets and bits sections are read as the
+  /// type they are stored as.
+  static std::shared_ptr<const MappedStore> from_image(
+      const std::vector<std::uint8_t>& image);
+
   /// Reads the first 8 bytes of `path` and returns the format version
   /// (1/2/3), or 0 when the file is unreadable or not a .plgl store.
   static std::uint32_t sniff_file_version(const std::string& path);
@@ -75,7 +82,7 @@ class MappedStore {
   std::uint64_t num_labels() const noexcept { return n_; }
   std::uint64_t total_bits() const noexcept { return total_bits_; }
   std::size_t num_shards() const noexcept { return dir_.size(); }
-  std::uint64_t file_bytes() const noexcept { return file_.size(); }
+  std::uint64_t file_bytes() const noexcept { return size_; }
   /// The partition the file was written with (ShardMap(n, num_shards)).
   const ShardMap& shard_map() const noexcept { return map_; }
 
@@ -147,11 +154,11 @@ class MappedStore {
   bool verify_label(std::size_t s, std::size_t i) const;
 
   /// Decodes every label of shard s from a FRESH read of the file (not
-  /// the mapping), CRC-verifying the re-read bytes first. This is the
-  /// self-heal source: damage confined to the private mapping does not
-  /// exist on disk, so the returned labels are clean. Throws DecodeError
-  /// when the on-disk bytes themselves fail the CRC or cannot be read
-  /// (the shard is then genuinely unhealable from this file).
+  /// the mapping; an in-memory image reads itself), CRC-verifying the
+  /// bytes first. This is the self-heal source: damage confined to the
+  /// private mapping does not exist on disk, so the returned labels are
+  /// clean. Throws DecodeError when the source bytes themselves fail the
+  /// CRC or cannot be read (the shard is then genuinely unhealable).
   std::vector<Label> read_shard_labels(std::size_t s) const;
 
   /// Materializes the whole store (plgtool pack/stats). Requires every
@@ -161,6 +168,10 @@ class MappedStore {
 
  private:
   MappedStore() = default;
+
+  /// Adopts [base, base + size) as data_/size_ and runs the header +
+  /// directory validation both owners share. Throws DecodeError.
+  void validate(const std::uint8_t* base, std::uint64_t size);
 
   /// Slow half of shard_intact: runs (or waits for) the once-per-shard
   /// CRC pass and returns the settled verdict.
@@ -172,9 +183,12 @@ class MappedStore {
         static_cast<std::uint8_t>(ShardCrcState::kUnverified)};
   };
 
-  const std::uint8_t* base() const noexcept { return file_.data(); }
+  const std::uint8_t* base() const noexcept { return data_; }
 
-  MappedFile file_;
+  MappedFile file_;  // exactly one owner holds the bytes data_ views
+  std::vector<std::uint64_t> image_;
+  const std::uint8_t* data_ = nullptr;
+  std::uint64_t size_ = 0;
   std::string path_;
   std::uint64_t n_ = 0;
   std::uint64_t total_bits_ = 0;

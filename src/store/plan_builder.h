@@ -1,8 +1,8 @@
 // Shared LabelView plan materialization for snapshot admission.
 //
-// Both snapshot backings — heap LabelStore shards (v1/v2) and mmap'd v3
-// shard regions — end admission by building one LabelView decode plan
-// per label over a packed-bits buffer plus a cumulative offset table.
+// Every snapshot shard — a region of an mmap'd v3 file or of a one-shard
+// in-memory v3 image — ends admission by building one LabelView decode
+// plan per label over its packed bits plus its cumulative offset table.
 // This is the single implementation of that stage; Snapshot parallelizes
 // it by running one build_plans call per shard on the ThreadPool, which
 // is exactly the serial per-shard loop and therefore bit-identical to a

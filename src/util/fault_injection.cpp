@@ -193,19 +193,21 @@ std::uint32_t next_chunk_stall() noexcept {
   return g_plan.stall_ms;
 }
 
-bool on_shard_admission(std::vector<std::uint8_t>& blob) noexcept {
-  if (!enabled() || g_plan.shard_fail_every == 0 || blob.empty()) return false;
+bool on_shard_admission(std::span<std::uint8_t> region) noexcept {
+  if (!enabled() || g_plan.shard_fail_every == 0 || region.empty()) {
+    return false;
+  }
   const std::uint64_t n = g_shard_calls.fetch_add(1, std::memory_order_relaxed);
   if ((n + 1) % g_plan.shard_fail_every != 0) return false;
   if (!claim_budget()) return false;
   // One bit flip is enough: CRC-32C detects all 1-bit errors, so the
-  // strict re-parse is guaranteed to reject the shard. The position is a
+  // admission CRC is guaranteed to reject the shard. The position is a
   // pure function of (seed, injection ordinal) — deterministic damage.
   const std::uint64_t ordinal =
       g_injected_shard_fails.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t state = g_plan.seed ^ (ordinal * 0x9E3779B97F4A7C15ull);
-  const std::uint64_t bit = splitmix64(state) % (blob.size() * 8);
-  blob[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  const std::uint64_t bit = splitmix64(state) % (region.size() * 8);
+  region[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   return true;
 }
 

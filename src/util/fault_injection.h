@@ -36,6 +36,7 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ struct FaultPlan {
   std::uint32_t stall_ms = 1;
 
   /// When k > 0, every k-th snapshot shard admission has one bit of its
-  /// freshly serialized blob flipped, so the strict CRC re-parse fails
+  /// freshly serialized region flipped, so the admission CRC fails
   /// (mid-reload corruption; exercises shard quarantine).
   std::uint64_t shard_fail_every = 0;
 
@@ -222,11 +223,11 @@ void check_untrusted_alloc(std::uint64_t bytes, const char* what);
 /// duration in milliseconds (0 = run at full speed); the caller sleeps.
 std::uint32_t next_chunk_stall() noexcept;
 
-/// Called by snapshot shard admission between serialize and the strict
-/// re-parse. When the plan says this admission fails, flips one
-/// seed-determined bit of `blob` (so the CRC check rejects it) and
-/// returns true.
-bool on_shard_admission(std::vector<std::uint8_t>& blob) noexcept;
+/// Called by snapshot shard admission on the fresh shard region, between
+/// serialize and the admission CRC. When the plan says this admission
+/// fails, flips one seed-determined bit of `region` (so the CRC check
+/// rejects it) and returns true.
+bool on_shard_admission(std::span<std::uint8_t> region) noexcept;
 
 /// Called by the engine before fetching a label. True means the fetch
 /// must be treated as a decode failure (answered kCorrupt in-band).

@@ -4,9 +4,10 @@
 // per-shard CRC state machine, mmap fault injection, and the snapshot
 // integration: mapped admission, parallel plan materialization
 // (regression-asserted bit-identical to serial), quarantine + self-heal
-// of shards whose mapping rots, and the v2-heap vs v3-mmap differential
-// contract over >10k FaultPlan-corrupted labels (answer for answer,
-// throw for throw).
+// of shards whose mapping rots, one total_bytes()/plan table for the
+// same labels from every source, and the memory-v3 vs file-v3
+// differential contract over >10k FaultPlan-corrupted labels (answer
+// for answer, throw for throw).
 //
 // Suite names embed "Snapshot" where the test exercises concurrent
 // snapshot state, so the tsan CI job's regex picks them up.
@@ -408,7 +409,6 @@ TEST(SnapshotMappedAdmission, FromFileRoutesV3ToTheMapping) {
   EXPECT_EQ(snap->size(), labeling.size());
   EXPECT_GT(snap->total_bytes(), 0u);
   for (std::size_t s = 0; s < snap->num_shards(); ++s) {
-    EXPECT_TRUE(snap->shard_mapped(s));
     EXPECT_FALSE(snap->shard_quarantined(s));
     // Admission built plans without paying any CRC pass.
     EXPECT_EQ(snap->shard_crc_state(s), ShardCrcState::kUnverified);
@@ -529,6 +529,40 @@ TEST(SnapshotParallelAdmission, FileLoadsIdenticalToSerial) {
       *Snapshot::from_file(v3, 8, StoreVerify::kStrict, false, 4));
 }
 
+// ------------------------------------------------------ one shard layout
+
+/// The same labels under the same partition look identical to the
+/// serving layer whatever their source — an in-memory build, a v2 file
+/// or a v3 file — and total_bytes() (STATS snapshot_bytes) counts the
+/// same v3 region bytes for each. Demoting and healing a shard of the
+/// mmap'd snapshot leaves both unchanged.
+TEST(SnapshotSources, OneSizeAndOnePlanTableFromEverySource) {
+  const Graph g = store_graph(700, 122);
+  const Labeling labeling = encode_labels(g);
+  const std::string v2 = temp_path("sources_v2.plgl");
+  const std::string v3 = temp_path("sources_v3.plgl");
+  LabelStore::save_file(v2, labeling);
+  StoreWriter::write_file(v3, labeling, 6);
+
+  const auto built = Snapshot::build(labeling, 6);
+  const auto from_v2 = Snapshot::from_file(v2, 6);
+  const auto from_v3 = Snapshot::from_file(v3, 6);
+  ASSERT_EQ(from_v3->num_shards(), 6u);
+  expect_snapshots_identical(*built, *from_v2);
+  expect_snapshots_identical(*built, *from_v3);
+  expect_snapshots_identical(*from_v2, *from_v3);
+  EXPECT_EQ(from_v3->total_bytes(),
+            MappedStore::open(v3)->file_bytes() - store::kHeaderBytes -
+                6 * store::kDirEntryBytes);
+
+  for (std::size_t s = 0; s < from_v3->num_shards(); ++s) {
+    const auto healed =
+        from_v3->with_quarantined_shard(s, "test demotion")->heal_shard(s);
+    EXPECT_EQ(healed->total_bytes(), from_v3->total_bytes()) << "s=" << s;
+    expect_snapshots_identical(*healed, *from_v3);
+  }
+}
+
 // ------------------------------------------------------------ concurrency
 
 TEST(SnapshotMappedConcurrency, FirstTouchRaceYieldsOneStickyVerdict) {
@@ -623,7 +657,7 @@ TEST(SnapshotMappedHeal, MapFlipCorruptionQuarantinesThenSelfHeals) {
       std::chrono::seconds(30)))
       << "healer did not clear quarantine; stats: " << svc.stats().to_json();
 
-  // Oracle check after heal: the snapshot (now mixed heap/mmap backing)
+  // Oracle check after heal: the snapshot (healed shards now in-memory)
   // answers every query correctly — the corruption never cost the
   // snapshot, only the damaged shards' mapping.
   std::size_t checked = 0;
@@ -656,10 +690,6 @@ TEST(SnapshotMappedHeal, QuarantineExtractsHealSourceFromDisk) {
   std::size_t bad = snap->num_shards();
   for (std::size_t s = 0; s < snap->num_shards(); ++s) {
     if (snap->shard_quarantined(s)) continue;  // offsets-table hit
-    if (snap->shard_crc_state(s) != ShardCrcState::kCorrupt &&
-        !snap->shard_mapped(s)) {
-      continue;
-    }
     if (snap->view(snap->shard_map().shard_begin(s)) == nullptr) {
       bad = s;
       break;
@@ -673,7 +703,8 @@ TEST(SnapshotMappedHeal, QuarantineExtractsHealSourceFromDisk) {
       << "disk is clean; the heal source must come from a fresh read";
   const auto healed = demoted->heal_shard(bad);
   EXPECT_FALSE(healed->shard_quarantined(bad));
-  EXPECT_FALSE(healed->shard_mapped(bad));  // healed shards are heap-backed
+  // The healed shard is an in-memory image whose CRC ran at admission.
+  EXPECT_EQ(healed->shard_crc_state(bad), ShardCrcState::kVerified);
   const std::uint64_t begin = healed->shard_map().shard_begin(bad);
   const std::uint64_t end = healed->shard_map().shard_end(bad);
   for (std::uint64_t v = begin; v < end; ++v) {
@@ -787,13 +818,14 @@ Outcome snapshot_adjacent(const Snapshot& snap, std::uint64_t u,
   return o;
 }
 
-/// The differential contract of the storage planes: a v2 heap-admitted
-/// snapshot and a v3 mmap'd snapshot of the SAME (corrupted) label set
-/// must be indistinguishable to the serving layer — answer for answer,
-/// throw for throw — across thousands of FaultPlan-corrupted labels.
-/// Under ASan/UBSan this also proves the mapped zero-copy loads never
-/// leave the mapping even when a corrupt header lies about its payload.
-TEST(StoreDifferential, V2HeapVsV3MmapAnswerForAnswerThrowForThrow) {
+/// The differential contract of the two byte owners: a snapshot built in
+/// memory (one-shard v3 images) and a v3 mmap'd snapshot of the SAME
+/// (corrupted) label set must be indistinguishable to the serving layer
+/// — answer for answer, throw for throw — across thousands of
+/// FaultPlan-corrupted labels. Under ASan/UBSan this also proves the
+/// zero-copy loads never leave their bytes even when a corrupt header
+/// lies about its payload.
+TEST(StoreDifferential, MemoryV3VsFileV3AnswerForAnswerThrowForThrow) {
   const std::uint64_t kSeeds[] = {119, 120, 121};
   std::size_t corrupted_total = 0;
   std::size_t pair_checks = 0;
@@ -802,7 +834,7 @@ TEST(StoreDifferential, V2HeapVsV3MmapAnswerForAnswerThrowForThrow) {
     const Labeling clean = encode_labels(g);
 
     // Corrupt every label independently, pre-serialization: both stores
-    // then hold byte-identical garbage whose section/shard CRCs pass.
+    // then hold byte-identical garbage whose shard CRCs pass.
     fault::FaultPlan plan;
     plan.bit_flips = 2;
     std::vector<Label> labels;
@@ -822,40 +854,37 @@ TEST(StoreDifferential, V2HeapVsV3MmapAnswerForAnswerThrowForThrow) {
     }
     const Labeling corrupt(std::move(labels));
 
-    const std::string v2 = temp_path("diff_v2_" + std::to_string(seed));
     const std::string v3 = temp_path("diff_v3_" + std::to_string(seed));
-    LabelStore::save_file(v2, corrupt);
     StoreWriter::write_file(v3, corrupt, 8);
 
-    const auto heap = Snapshot::from_file(v2, 8, StoreVerify::kStrict,
-                                          /*allow_quarantine=*/true);
+    const auto memory = Snapshot::build(corrupt, 8, /*allow_quarantine=*/true);
     const auto mapped = Snapshot::from_file(v3, 8, StoreVerify::kStrict,
                                             /*allow_quarantine=*/true);
-    ASSERT_EQ(heap->size(), mapped->size());
-    ASSERT_EQ(heap->num_quarantined(), 0u);
+    ASSERT_EQ(memory->size(), mapped->size());
+    ASSERT_EQ(memory->num_quarantined(), 0u);
     ASSERT_EQ(mapped->num_quarantined(), 0u);
 
     // Per-label: identical bytes, identical plan verdicts.
-    for (std::uint64_t v = 0; v < heap->size(); ++v) {
-      ASSERT_EQ(heap->get(v), mapped->get(v)) << "v=" << v;
-      const LabelView* hv = heap->view(v);
+    for (std::uint64_t v = 0; v < memory->size(); ++v) {
+      ASSERT_EQ(memory->get(v), mapped->get(v)) << "v=" << v;
+      const LabelView* memv = memory->view(v);
       const LabelView* mv = mapped->view(v);
-      ASSERT_EQ(hv == nullptr, mv == nullptr) << "v=" << v;
-      if (hv != nullptr) {
-        ASSERT_TRUE(hv->plan_equals(*mv)) << "v=" << v;
+      ASSERT_EQ(memv == nullptr, mv == nullptr) << "v=" << v;
+      if (memv != nullptr) {
+        ASSERT_TRUE(memv->plan_equals(*mv)) << "v=" << v;
       }
     }
     // Per-pair: the full serving pipeline agrees, including which
     // queries throw and with what message.
     Rng rng = stream_rng(seed, 2);
     for (int i = 0; i < 1500; ++i) {
-      const std::uint64_t u = rng.next_below(heap->size());
-      const std::uint64_t v = rng.next_below(heap->size());
-      const Outcome h = snapshot_adjacent(*heap, u, v);
-      const Outcome m = snapshot_adjacent(*mapped, u, v);
-      ASSERT_EQ(h.threw, m.threw) << "u=" << u << " v=" << v;
-      ASSERT_EQ(h.answer, m.answer) << "u=" << u << " v=" << v;
-      ASSERT_EQ(h.what, m.what) << "u=" << u << " v=" << v;
+      const std::uint64_t u = rng.next_below(memory->size());
+      const std::uint64_t v = rng.next_below(memory->size());
+      const Outcome a = snapshot_adjacent(*memory, u, v);
+      const Outcome b = snapshot_adjacent(*mapped, u, v);
+      ASSERT_EQ(a.threw, b.threw) << "u=" << u << " v=" << v;
+      ASSERT_EQ(a.answer, b.answer) << "u=" << u << " v=" << v;
+      ASSERT_EQ(a.what, b.what) << "u=" << u << " v=" << v;
       ++pair_checks;
     }
   }

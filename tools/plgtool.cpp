@@ -31,8 +31,8 @@
 //       checks of intact shards. Exit 0 = intact, 1 = corrupt.
 //   plgtool pack <in.plgl> <out.plgl> [--shards S]
 //       migrate a store to the sharded, word-aligned .plgl v3 layout
-//       (zero-copy mmap serving). Reads any version (v1/v2 heap parse,
-//       v3 mapped), re-partitions into S shards (default 16), writes
+//       (zero-copy mmap serving). Reads any version (v1/v2 LabelStore
+//       parse, v3 mapped), re-partitions into S shards (default 16), writes
 //       atomically (tmp + rename) so in == out migrates in place.
 //   plgtool serve <labels.plgl> [--threads T] [--shards S] [--batch B]
 //                 [--cache C] [--spot-check] [--scheme thin-fat|distance]
@@ -41,7 +41,9 @@
 //       concurrent query service over the store: line protocol on
 //       stdin/stdout (A/D queries, BATCH, STATS, HEALTH, DEADLINE,
 //       RELOAD, PING, QUIT — see src/service/serve.h). Labels are
-//       sharded across S CRC-verified snapshot shards and queries fan
+//       sharded across S CRC-verified v3 snapshot shards (a v1/v2 file
+//       is repacked in memory; a v3 file keeps its own partition and is
+//       served from the mapping) and queries fan
 //       out over T workers. --queue-cap bounds each worker's queue (in
 //       chunks); a full queue load-sheds per --shed-policy and the shed
 //       queries answer "overloaded" in-band. EOF, SIGINT, and SIGTERM
@@ -713,8 +715,9 @@ int cmd_pack(int argc, char** argv) {
   const Flags f = Flags::parse(argc, argv, 4);
   const std::size_t shards = f.shards.value_or(16);
 
-  // Load the source at any version. v1/v2 go through the strict heap
-  // parse; v3 through the mapped reader (load_all CRCs every shard).
+  // Load the source at any version. v1/v2 go through the strict
+  // LabelStore parse; v3 through the mapped reader (load_all CRCs every
+  // shard).
   // Either way a corrupt source aborts the migration — pack never
   // launders bad bytes into a fresh file.
   const std::uint32_t version = store::MappedStore::sniff_file_version(in_path);
