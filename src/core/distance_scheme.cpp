@@ -29,9 +29,11 @@ struct Header {
 Header parse(const Label& l) {
   BitReader r = l.reader();
   Header h;
-  h.width = static_cast<int>(r.read_gamma());
-  if (h.width > 32) throw DecodeError("distance: absurd id width");
+  const std::uint64_t width = r.read_gamma();
+  if (width > 32) throw DecodeError("distance: absurd id width");
+  h.width = static_cast<int>(width);
   h.f = r.read_gamma0();
+  if (h.f > kMaxHopBound) throw DecodeError("distance: hop bound f > 254");
   h.dist_width = id_width(h.f + 2);  // values 0..f plus the "far" sentinel
   h.k = r.read_gamma0();
   h.fat = r.read_bit();
@@ -85,7 +87,7 @@ DistanceEncoding DistanceScheme::encode(const Graph& g) const {
   // Part (i): one capped BFS per fat vertex fills everyone's column.
   // fat_table[v * k + r] = min(d(v, fat_r), far). Stored as bytes to keep
   // the n * k staging matrix affordable; f > 254 would need wider cells.
-  if (far > 255) {
+  if (f_ > kMaxHopBound) {
     throw EncodeError("DistanceScheme: f > 254 not supported");
   }
   std::vector<std::uint8_t> fat_table;

@@ -29,6 +29,14 @@
 
 namespace plg {
 
+/// Largest hop bound f the scheme encodes. The encoder stages distances
+/// (0..f plus the "far" sentinel f+1) in bytes, and both decoders
+/// (DistanceScheme::distance, DistanceView) reject a label declaring a
+/// larger f: a forged bound would widen the table fields past the point
+/// where du + dv can wrap and the answer can be truncated. It also caps
+/// the field width at id_width(kMaxHopBound + 2) = 8 bits.
+inline constexpr std::uint64_t kMaxHopBound = 254;
+
 struct DistanceEncoding {
   Labeling labeling;
   std::uint64_t f = 0;          ///< hop bound
@@ -47,7 +55,10 @@ class DistanceScheme {
   DistanceEncoding encode(const Graph& g) const;
 
   /// Exact d(u, v) when d(u, v) <= f; nullopt when the distance exceeds f
-  /// (or the vertices are disconnected).
+  /// (or the vertices are disconnected). The reference decoder: a
+  /// sequential BitReader walk that DistanceView must match answer for
+  /// answer and throw for throw. Throws DecodeError on a malformed label,
+  /// on f > kMaxHopBound, or on labels from different encodings.
   static std::optional<std::uint32_t> distance(const Label& a,
                                                const Label& b);
 

@@ -1,47 +1,10 @@
 #include "core/label_view.h"
 
+#include "core/bit_cursor.h"
 #include "util/bits.h"
 #include "util/errors.h"
 
 namespace plg {
-
-namespace {
-
-/// Bounds-checked random-access cursor used only at parse time. Mirrors
-/// BitReader's failure contract exactly — same conditions, same messages
-/// — but works at an absolute bit offset inside a larger buffer, which a
-/// BitReader (word-aligned start only) cannot.
-struct BitCursor {
-  const std::uint64_t* words;
-  std::uint64_t pos;
-  std::uint64_t end;
-
-  std::uint64_t read_bits(int width) {
-    if (pos + static_cast<std::uint64_t>(width) > end) {
-      throw DecodeError("BitReader: read past end of stream");
-    }
-    const std::uint64_t v = width == 0 ? 0 : extract_bits(words, pos, width);
-    pos += static_cast<std::uint64_t>(width);
-    return v;
-  }
-
-  std::uint64_t read_gamma() {
-    // Same word-parallel unary scan, same rejection rules, as
-    // BitReader::read_gamma — the two must reject identically for the
-    // differential contract to hold.
-    const std::uint64_t stop = find_set_bit(words, pos, end);
-    if (stop >= end) throw DecodeError("BitReader: read past end of stream");
-    const std::uint64_t len64 = stop - pos;
-    if (len64 > 63) throw DecodeError("BitReader: malformed gamma code");
-    const int len = static_cast<int>(len64);
-    pos = stop + 1;
-    std::uint64_t low = 0;
-    if (len > 0) low = read_bits(len);
-    return (std::uint64_t{1} << len) | low;
-  }
-};
-
-}  // namespace
 
 LabelView LabelView::parse(const std::uint64_t* words, std::uint64_t base_bits,
                            std::uint64_t size_bits) {

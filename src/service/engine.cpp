@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/distance_scheme.h"
+#include "core/distance_view.h"
 #include "core/label_view.h"
 #include "core/thin_fat.h"
 #include "util/errors.h"
@@ -34,6 +35,17 @@ void check_label(const Snapshot& snap, std::uint64_t v) {
     // corruption contract; QueryService::answer catches it (kCorrupt).
     throw DecodeError("service: label fails spot checksum");
   }
+}
+
+/// Spot-checks both endpoints of q; `blame` is left on the endpoint
+/// whose check threw, and back on u when both pass.
+// plglint: noexcept-hot-path
+void check_pair(const Snapshot& snap, const QueryRequest& q,
+                std::uint64_t& blame) {
+  check_label(snap, q.u);
+  blame = q.v;
+  check_label(snap, q.v);
+  blame = q.u;
 }
 
 }  // namespace
@@ -129,9 +141,11 @@ struct QueryService::WorkerState {
   /// Materializes label v through the direct-mapped cache. Entries are
   /// tagged with the snapshot's process-unique id, so a hot swap
   /// invalidates lazily (stale tags simply miss) with no cross-thread
-  /// bookkeeping. Fat-vertex labels dominate decode cost (their k-bit
-  /// rows are the largest labels in the store) and repeat across
-  /// queries, which is what makes this cache pay for itself.
+  /// bookkeeping. Healthy queries of both kinds answer from the
+  /// snapshot's bits (LabelView, DistanceView), so this path runs only
+  /// as their fallback: for a shard that failed its lazy CRC (get()
+  /// throws), a corrupt label whose plan is unusable, or Lemma 7 labels
+  /// with f > kPlaneJoinMaxF, which no DistanceView answers.
   // plglint: noexcept-hot-path
   const Label& fetch_label(const Snapshot& snap, std::uint64_t v,
                            bool spot_check, ChunkTally& tally,
@@ -279,30 +293,52 @@ QueryResult QueryService::answer(WorkerState& ws, const Snapshot& snap,
   // spot check or fetch threw. A failure to decode two fetched labels
   // cannot be pinned on one of them and stays charged to u.
   std::uint64_t blame = q.u;
+  const auto set_distance = [&r, &tally](std::optional<std::uint32_t> d) {
+    r.distance = d ? static_cast<std::int64_t>(*d) : -1;
+    tally.positive += d ? 1u : 0u;
+  };
   try {
-    // Fast path: answer straight from the snapshot's decode plans — no
-    // label materialization, no cache traffic, branch-free word
-    // extraction. Falls through to the BitReader path whenever either
-    // endpoint lacks a plan (quarantine-adjacent states, a shard that
-    // failed its lazy CRC, or plan construction failed at admission);
-    // behavioral equivalence with thin_fat_adjacent — answers and
-    // DecodeErrors both — is the LabelView contract, differentially
-    // fuzzed in tests/test_label_view.cpp.
+    // Fast paths answer straight from the snapshot's bits — no label
+    // materialization, no cache traffic. Each falls through to the
+    // materializing path below whenever an endpoint's shard is
+    // quarantined or failed its lazy CRC, or its plan is unusable (a
+    // corrupt label, or f > kPlaneJoinMaxF). Equivalence with the
+    // reference decoders — answers and DecodeErrors both — is
+    // differentially fuzzed in tests/test_label_view.cpp and
+    // tests/test_distance_view.cpp.
+    //
+    // thin/fat: the LabelView plans built at admission.
     const LabelView* va = nullptr;
     const LabelView* vb = nullptr;
     if (opt_.kind == QueryKind::kAdjacency &&
         (va = snap.view(q.u)) != nullptr &&
         (vb = snap.view(q.v)) != nullptr) {
-      if (opt_.spot_check) {
-        check_label(snap, q.u);
-        blame = q.v;
-        check_label(snap, q.v);
-        blame = q.u;
-      }
+      if (opt_.spot_check) check_pair(snap, q, blame);
       r.adjacent = label_view_adjacent(*va, *vb);
       tally.positive += r.adjacent ? 1u : 0u;
       ++tally.view_hits;
       return r;
+    }
+    // Lemma 7: DistanceViews parsed per query from the mapped bits. A
+    // header the oracle would reject throws here, charged to u like the
+    // oracle's own decode failure.
+    if (opt_.kind == QueryKind::kDistance) {
+      const Snapshot::LabelBits ba = snap.label_bits_at(q.u);
+      const Snapshot::LabelBits bb = ba.words != nullptr
+                                         ? snap.label_bits_at(q.v)
+                                         : Snapshot::LabelBits{};
+      if (bb.words != nullptr) {
+        if (opt_.spot_check) check_pair(snap, q, blame);
+        const DistanceView da =
+            DistanceView::parse(ba.words, ba.base, ba.bits);
+        const DistanceView db =
+            DistanceView::parse(bb.words, bb.base, bb.bits);
+        if (da.complete() && db.complete()) {
+          set_distance(distance_view(da, db));
+          ++tally.view_hits;
+          return r;
+        }
+      }
     }
     const Label* la =
         &ws.fetch_label(snap, q.u, opt_.spot_check, tally, ws.scratch_a);
@@ -321,9 +357,7 @@ QueryResult QueryService::answer(WorkerState& ws, const Snapshot& snap,
       r.adjacent = thin_fat_adjacent(*la, lb);
       tally.positive += r.adjacent ? 1u : 0u;
     } else {
-      const auto d = DistanceScheme::distance(*la, lb);
-      r.distance = d ? static_cast<std::int64_t>(*d) : -1;
-      tally.positive += d ? 1u : 0u;
+      set_distance(DistanceScheme::distance(*la, lb));
     }
   } catch (const DecodeError&) {
     // Corruption fallback: the query reports kCorrupt instead of the

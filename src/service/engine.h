@@ -51,8 +51,8 @@ namespace plg::service {
 
 /// Which decoder the snapshot's labels were built for.
 enum class QueryKind : std::uint8_t {
-  kAdjacency,  ///< thin/fat labels; answer via thin_fat_adjacent
-  kDistance,   ///< Lemma 7 labels; answer via DistanceScheme::distance
+  kAdjacency,  ///< thin/fat labels; LabelView, else thin_fat_adjacent
+  kDistance,   ///< Lemma 7 labels; DistanceView, else DistanceScheme
 };
 
 struct QueryRequest {
@@ -79,7 +79,11 @@ struct QueryResult {
 struct ServiceOptions {
   unsigned threads = 0;          ///< worker count; 0 = hardware concurrency
   std::size_t chunk = 256;       ///< queries per dispatched task
-  std::size_t cache_entries = 1024;  ///< per-worker decoded-label cache; 0 off
+  /// Per-worker decoded-label cache for the materializing fallback:
+  /// corrupt labels, CRC-failed shards and Lemma 7 labels with f above
+  /// kPlaneJoinMaxF. Other healthy queries answer from the snapshot's
+  /// bits. 0 off.
+  std::size_t cache_entries = 1024;
   bool spot_check = false;       ///< verify per-label checksum before decode
   QueryKind kind = QueryKind::kAdjacency;
 

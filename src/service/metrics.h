@@ -95,7 +95,7 @@ struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> queries{0};        ///< requests answered
   std::atomic<std::uint64_t> batches{0};        ///< chunks executed
   std::atomic<std::uint64_t> positive{0};       ///< adjacent / within-f
-  std::atomic<std::uint64_t> view_hits{0};      ///< answered via decode plan
+  std::atomic<std::uint64_t> view_hits{0};      ///< answered from the bits
   std::atomic<std::uint64_t> cache_hits{0};     ///< decoded-label cache
   std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> corruptions{0};    ///< spot-check failures

@@ -156,6 +156,29 @@ class Snapshot {
     return lv.valid() ? &lv : nullptr;
   }
 
+  /// Where one label's bits live: bits [base, base + bits) of `words`.
+  /// A borrow of the snapshot's shard store (util/lifetime.h).
+  struct PLG_POINTS_INTO(snap, snapshot) LabelBits {
+    const std::uint64_t* words = nullptr;  ///< null: no zero-copy access
+    std::uint64_t base = 0;
+    std::uint64_t bits = 0;
+  };
+
+  /// Label v's bits in place, for decoders that parse straight from the
+  /// store (the engine's DistanceView path). `words` is null when the
+  /// shard is quarantined or failed its lazy CRC — the same gate as
+  /// view(), with the same fallback: the engine materializes through
+  /// get(), which throws. The extent comes from the offsets table
+  /// validated at admission. Precondition: v < size().
+  // plglint: noexcept-hot-path
+  LabelBits label_bits_at(std::uint64_t v) const noexcept PLG_LIFETIME_BOUND {
+    const Shard& sh = shards_[map_.shard_of(v)];
+    if (!sh.healthy() || !sh.store->shard_intact(sh.index)) return {};
+    const std::uint64_t* off = sh.store->shard_offsets(sh.index);
+    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
+    return {sh.store->shard_bits(sh.index), off[i], off[i + 1] - off[i]};
+  }
+
   /// Re-derives v's stored spot checksum. False means the shard's bits
   /// rotted *after* admission (or the encoder lied); the engine counts
   /// these as corruption fallbacks. Precondition as for get().

@@ -10,6 +10,8 @@
 #include "gen/erdos_renyi.h"
 #include "graph/algorithms.h"
 #include "powerlaw/threshold.h"
+#include "util/bit_stream.h"
+#include "util/bits.h"
 #include "util/errors.h"
 #include "util/random.h"
 
@@ -136,6 +138,65 @@ TEST(DistanceScheme, MismatchedEncodingsThrow) {
   const auto e3 = s3.encode(g);
   EXPECT_THROW(
       DistanceScheme::distance(e2.labeling[0], e3.labeling[1]), DecodeError);
+}
+
+// A forged hop bound the encoder refuses to write: f = 2^63 widens the
+// table fields to 64 bits, so two entries of 2^63 sum to 0 — a distance
+// of 0 between distinct vertices — and entries of 2^32 + 5 and 0 would
+// come back truncated to 5. The decoder must reject the label instead.
+TEST(DistanceScheme, RejectsForgedHopBound) {
+  const auto forged = [](std::uint64_t id, std::uint64_t f,
+                         std::uint64_t entry) {
+    BitWriter w;
+    w.write_gamma(8);         // id width
+    w.write_gamma0(f);        // hop bound
+    w.write_gamma0(1);        // k = 1 fat vertex
+    w.write_bit(false);       // thin
+    w.write_bits(id, 8);
+    w.write_bits(entry, id_width(f + 2));
+    w.write_gamma0(0);        // empty ball
+    return Label::from_writer(std::move(w));
+  };
+  const std::uint64_t max_f = 254;  // the largest f the encoder writes
+  const std::uint64_t huge = std::uint64_t{1} << 63;
+  EXPECT_THROW(DistanceScheme::distance(forged(1, huge, huge),
+                                        forged(2, huge, huge)),
+               DecodeError);
+  const std::uint64_t wide = std::uint64_t{1} << 40;
+  EXPECT_THROW(DistanceScheme::distance(forged(1, wide, (1ull << 32) + 5),
+                                        forged(2, wide, 0)),
+               DecodeError);
+  EXPECT_THROW(DistanceScheme::distance(forged(1, max_f + 1, 1),
+                                        forged(2, max_f + 1, 1)),
+               DecodeError);
+  // The largest encodable bound still decodes: 1 + 1 through the fat
+  // vertex.
+  EXPECT_EQ(DistanceScheme::distance(forged(1, max_f, 1),
+                                     forged(2, max_f, 1)),
+            std::optional<std::uint32_t>(2));
+
+  // A forged id width is checked before it is narrowed: 2^32 + 8 must
+  // not wrap to 8, nor 2^31 to a negative read width.
+  const auto forged_width = [](std::uint64_t width, std::uint64_t id) {
+    BitWriter w;
+    w.write_gamma(width);
+    w.write_gamma0(2);   // hop bound
+    w.write_gamma0(0);   // k = 0
+    w.write_bit(false);  // thin
+    w.write_bits(id, 8);
+    w.write_gamma0(0);   // empty ball
+    return Label::from_writer(std::move(w));
+  };
+  for (const std::uint64_t width :
+       {std::uint64_t{1} << 31, (std::uint64_t{1} << 32) + 8}) {
+    try {
+      (void)DistanceScheme::distance(forged_width(width, 1),
+                                     forged_width(width, 2));
+      ADD_FAILURE() << "width " << width << " decoded";
+    } catch (const DecodeError& e) {
+      EXPECT_STREQ(e.what(), "distance: absurd id width");
+    }
+  }
 }
 
 // ---- Full-BFS baseline --------------------------------------------------

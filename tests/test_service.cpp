@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,8 +22,10 @@
 #include "service/metrics.h"
 #include "service/serve.h"
 #include "store/shard_map.h"
+#include "store/store_writer.h"
 #include "service/snapshot.h"
 #include "service/thread_pool.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 
 namespace plg::service {
@@ -331,6 +335,120 @@ TEST(QueryService, DistanceModeMatchesOracle) {
     EXPECT_EQ(results[i].distance,
               oracle ? static_cast<std::int64_t>(*oracle) : -1);
   }
+}
+
+/// A Lemma 7 labeling written as a v3 store of `shards` shards.
+std::string write_distance_store(const DistanceEncoding& enc,
+                                 const std::string& name,
+                                 std::size_t shards) {
+  const std::string path = testing::TempDir() + "/" + name;
+  store::StoreWriter::write_file(path, enc.labeling, shards);
+  return path;
+}
+
+// Distance queries over an mmap'd v3 store answer from the mapped bits
+// through DistanceViews: every query is a view hit and the decoded-label
+// cache is never consulted.
+TEST(QueryService, DistanceViewsServeMappedStoreWithoutCache) {
+  const Graph g = test_graph(600);
+  const auto enc = DistanceScheme(2, 2.5).encode(g);
+  ASSERT_GT(enc.num_fat, 0u);
+  const std::string path = write_distance_store(enc, "dist_views.plgl", 4);
+  QueryService svc(Snapshot::from_file(path, 4),
+                   {.threads = 2, .kind = QueryKind::kDistance});
+
+  // Self pairs, edges, two-hop pairs and uniform pairs: answers 0, 1, 2
+  // and beyond-f, across thin and fat endpoints.
+  Rng rng = stream_rng(78, 0);
+  std::vector<QueryRequest> batch;
+  for (int i = 0; i < 400; ++i) {
+    const auto u = static_cast<Vertex>(rng.next_below(g.num_vertices()));
+    batch.push_back({u, u});
+    batch.push_back({u, rng.next_below(g.num_vertices())});
+    const auto nb = g.neighbors(u);
+    if (nb.empty()) continue;
+    const Vertex x = nb[rng.next_below(nb.size())];
+    batch.push_back({u, x});
+    const auto nb2 = g.neighbors(x);
+    batch.push_back({nb2[rng.next_below(nb2.size())], u});
+  }
+  const auto results = svc.query_batch(batch);
+  std::size_t within = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto oracle = DistanceScheme::distance(
+        enc.labeling[static_cast<Vertex>(batch[i].u)],
+        enc.labeling[static_cast<Vertex>(batch[i].v)]);
+    ASSERT_EQ(results[i].status, QueryStatus::kOk);
+    ASSERT_EQ(results[i].distance,
+              oracle ? static_cast<std::int64_t>(*oracle) : -1);
+    within += oracle ? 1u : 0u;
+  }
+  EXPECT_GT(within, 0u);
+  EXPECT_LT(within, batch.size());
+
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.queries, batch.size());
+  EXPECT_EQ(stats.view_hits, stats.queries);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_EQ(stats.corruptions, 0u);
+  std::remove(path.c_str());
+}
+
+// A distance shard that fails its lazy CRC: label_bits_at() refuses it,
+// the materializing fallback's get() throws, and every failure is charged
+// to that shard — whichever side of the query it is on — so it is the
+// one demoted, while the clean shard keeps serving.
+TEST(QueryService, DistanceCrcFailureIsChargedToTheFailingShard) {
+  const Graph g = test_graph(400, 119);
+  const auto enc = DistanceScheme(2, 2.5).encode(g);
+  const std::string path = write_distance_store(enc, "dist_blame.plgl", 4);
+
+  // A map-flip seed whose one flip lands in a shard's payload: that shard
+  // admits and fails its CRC on first touch, the others stay clean. The
+  // flip positions are a pure function of (seed, span size).
+  std::shared_ptr<const Snapshot> snap;
+  std::size_t bad = 4;
+  std::size_t good = 4;
+  for (std::uint64_t seed = 1; seed < 64 && bad == 4; ++seed) {
+    fault::ScopedFault fp(fault::FaultPlan::parse_spec(
+        "seed=" + std::to_string(seed) + ",map-flip=1"));
+    snap = Snapshot::from_file(path, 4, StoreVerify::kStrict,
+                               /*allow_quarantine=*/true);
+    bad = good = 4;
+    for (std::size_t s = 0; s < snap->num_shards(); ++s) {
+      if (snap->shard_quarantined(s)) continue;
+      const bool intact =
+          snap->label_bits_at(snap->shard_map().shard_begin(s)).words !=
+          nullptr;
+      if (!intact && bad == 4) bad = s;
+      if (intact && good == 4) good = s;
+    }
+    if (good == 4) bad = 4;
+  }
+  ASSERT_LT(bad, 4u) << "no seed put its flip in one shard's payload";
+  ASSERT_LT(good, 4u);
+
+  QueryService svc(snap, ServiceOptions{.threads = 1,
+                                        .kind = QueryKind::kDistance,
+                                        .quarantine_after = 3,
+                                        .heal = false});
+  const std::uint64_t u = snap->shard_map().shard_begin(good);
+  const std::uint64_t v = snap->shard_map().shard_begin(bad);
+  snap.reset();
+  EXPECT_EQ(svc.query({u, v}).status, QueryStatus::kCorrupt);
+  EXPECT_EQ(svc.query({v, u}).status, QueryStatus::kCorrupt);
+  EXPECT_EQ(svc.query({u, v}).status, QueryStatus::kCorrupt);
+  const auto after = svc.snapshot();
+  EXPECT_TRUE(after->shard_quarantined(bad));
+  EXPECT_FALSE(after->shard_quarantined(good));
+  EXPECT_EQ(after->num_quarantined(), 1u);
+  EXPECT_EQ(svc.query({u, u}).status, QueryStatus::kOk);
+  EXPECT_EQ(svc.query({u, v}).status, QueryStatus::kCorrupt);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.corruptions, 3u);
+  EXPECT_EQ(stats.quarantine_hits, 1u);
+  EXPECT_EQ(stats.view_hits, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(QueryService, CacheDisabledStillCorrect) {
