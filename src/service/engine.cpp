@@ -18,8 +18,6 @@ namespace plg::service {
 
 namespace {
 
-constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
                          std::chrono::steady_clock::time_point t1) noexcept {
   return static_cast<std::uint64_t>(
@@ -57,8 +55,6 @@ struct QueryService::ChunkTally {
   std::uint64_t queries = 0;
   std::uint64_t positive = 0;
   std::uint64_t view_hits = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t corruptions = 0;
   std::uint64_t range_errors = 0;
   std::uint64_t deadline_exceeded = 0;
@@ -71,8 +67,6 @@ struct QueryService::ChunkTally {
     add(m.queries, queries);
     add(m.positive, positive);
     add(m.view_hits, view_hits);
-    add(m.cache_hits, cache_hits);
-    add(m.cache_misses, cache_misses);
     add(m.corruptions, corruptions);
     add(m.range_errors, range_errors);
     add(m.deadline_exceeded, deadline_exceeded);
@@ -85,14 +79,6 @@ struct QueryService::ChunkTally {
 /// this needs synchronization — the pool's per-worker queues are the
 /// isolation mechanism.
 struct QueryService::WorkerState {
-  struct Slot {
-    std::uint64_t key = kNoKey;  ///< vertex id, kNoKey when empty
-    std::uint64_t snap_id = 0;   ///< identity of the owning snapshot
-    Label label;
-  };
-  std::vector<Slot> cache;  ///< direct-mapped; empty = caching disabled
-  Label scratch_a;          ///< uncached decode target for endpoint u
-  Label scratch_b;          ///< uncached decode target for endpoint v
   /// order_by_shard's buffer: the chunk permutation, each query's bucket,
   /// then the bucket offsets. Grows once, reused by every later chunk.
   std::vector<std::uint32_t> sort_buf;
@@ -137,38 +123,6 @@ struct QueryService::WorkerState {
     }
     return order;
   }
-
-  /// Materializes label v through the direct-mapped cache. Entries are
-  /// tagged with the snapshot's process-unique id, so a hot swap
-  /// invalidates lazily (stale tags simply miss) with no cross-thread
-  /// bookkeeping. Healthy queries of both kinds answer from the
-  /// snapshot's bits (LabelView, DistanceView), so this path runs only
-  /// as their fallback: for a shard that failed its lazy CRC (get()
-  /// throws), a corrupt label whose plan is unusable, or Lemma 7 labels
-  /// with f > kPlaneJoinMaxF, which no DistanceView answers.
-  // plglint: noexcept-hot-path
-  const Label& fetch_label(const Snapshot& snap, std::uint64_t v,
-                           bool spot_check, ChunkTally& tally,
-                           Label& scratch) {
-    Slot* slot = nullptr;
-    if (!cache.empty()) {
-      slot = &cache[v % cache.size()];
-      if (slot->key == v && slot->snap_id == snap.id()) {
-        ++tally.cache_hits;
-        return slot->label;
-      }
-    }
-    ++tally.cache_misses;
-    if (spot_check) check_label(snap, v);
-    if (slot == nullptr) {
-      scratch = snap.get(v);
-      return scratch;
-    }
-    slot->label = snap.get(v);
-    slot->key = v;
-    slot->snap_id = snap.id();
-    return slot->label;
-  }
 };
 
 QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
@@ -182,9 +136,7 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> snapshot,
   if (opt_.chunk == 0) opt_.chunk = 1;
   states_.reserve(pool_.size());
   for (unsigned i = 0; i < pool_.size(); ++i) {
-    auto ws = std::make_unique<WorkerState>();
-    ws->cache.resize(opt_.cache_entries);
-    states_.push_back(std::move(ws));
+    states_.push_back(std::make_unique<WorkerState>());
   }
   if (opt_.heal) {
     // Poke once before the thread exists: the initial snapshot may have
@@ -242,7 +194,7 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
       }
     }
     const std::uint32_t i = order[k];
-    results[i] = answer(ws, snap, reqs[i], tally);
+    results[i] = answer(snap, reqs[i], tally);
   }
   if (k < count) {
     // Cooperative cancellation: this chunk (and, via the shared flag,
@@ -264,8 +216,8 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
 }
 
 // plglint: noexcept-hot-path
-QueryResult QueryService::answer(WorkerState& ws, const Snapshot& snap,
-                                 const QueryRequest& q, ChunkTally& tally) {
+QueryResult QueryService::answer(const Snapshot& snap, const QueryRequest& q,
+                                 ChunkTally& tally) {
   QueryResult r;
   const std::uint64_t n = snap.size();
   if (q.u >= n || q.v >= n) {
@@ -299,12 +251,11 @@ QueryResult QueryService::answer(WorkerState& ws, const Snapshot& snap,
   };
   try {
     // Fast paths answer straight from the snapshot's bits — no label
-    // materialization, no cache traffic. Each falls through to the
-    // materializing path below whenever an endpoint's shard is
-    // quarantined or failed its lazy CRC, or its plan is unusable (a
-    // corrupt label, or f > kPlaneJoinMaxF). Equivalence with the
-    // reference decoders — answers and DecodeErrors both — is
-    // differentially fuzzed in tests/test_label_view.cpp and
+    // materialization. Each falls through to the reference path below
+    // whenever an endpoint's shard is quarantined or failed its lazy CRC,
+    // or its plan is unusable (a corrupt label, or f > kPlaneJoinMaxF).
+    // Equivalence with the reference decoders — answers and DecodeErrors
+    // both — is differentially fuzzed in tests/test_label_view.cpp and
     // tests/test_distance_view.cpp.
     //
     // thin/fat: the LabelView plans built at admission.
@@ -340,24 +291,20 @@ QueryResult QueryService::answer(WorkerState& ws, const Snapshot& snap,
         }
       }
     }
-    const Label* la =
-        &ws.fetch_label(snap, q.u, opt_.spot_check, tally, ws.scratch_a);
-    if (!ws.cache.empty() && q.u != q.v &&
-        q.u % ws.cache.size() == q.v % ws.cache.size()) {
-      // Both endpoints map to one cache slot: fetching v would
-      // overwrite the storage la refers to. Detach u's label first.
-      ws.scratch_a = *la;
-      la = &ws.scratch_a;
-    }
+    // Reference path: both labels materialized, then the reference
+    // decoder. It serves CRC-failed shards, corrupt labels and Lemma 7
+    // labels with f > kPlaneJoinMaxF.
+    if (opt_.spot_check) check_label(snap, q.u);
+    const Label la = snap.get(q.u);
     blame = q.v;
-    const Label& lb =
-        ws.fetch_label(snap, q.v, opt_.spot_check, tally, ws.scratch_b);
+    if (opt_.spot_check) check_label(snap, q.v);
+    const Label lb = snap.get(q.v);
     blame = q.u;
     if (opt_.kind == QueryKind::kAdjacency) {
-      r.adjacent = thin_fat_adjacent(*la, lb);
+      r.adjacent = thin_fat_adjacent(la, lb);
       tally.positive += r.adjacent ? 1u : 0u;
     } else {
-      set_distance(DistanceScheme::distance(*la, lb));
+      set_distance(DistanceScheme::distance(la, lb));
     }
   } catch (const DecodeError&) {
     // Corruption fallback: the query reports kCorrupt instead of the

@@ -79,11 +79,6 @@ struct QueryResult {
 struct ServiceOptions {
   unsigned threads = 0;          ///< worker count; 0 = hardware concurrency
   std::size_t chunk = 256;       ///< queries per dispatched task
-  /// Per-worker decoded-label cache for the materializing fallback:
-  /// corrupt labels, CRC-failed shards and Lemma 7 labels with f above
-  /// kPlaneJoinMaxF. Other healthy queries answer from the snapshot's
-  /// bits. 0 off.
-  std::size_t cache_entries = 1024;
   bool spot_check = false;       ///< verify per-label checksum before decode
   QueryKind kind = QueryKind::kAdjacency;
 
@@ -168,7 +163,7 @@ class QueryService final : public BatchHandler {
   QueryResult query(const QueryRequest& req);
 
   /// Atomically installs a new snapshot; in-flight batches finish on the
-  /// old one. Worker caches self-invalidate via snapshot identity tags.
+  /// old one, and later batches answer from the new one.
   void reload(std::shared_ptr<const Snapshot> next);
 
   /// Blocks until every worker queue is empty and every worker idle.
@@ -207,8 +202,8 @@ class QueryService final : public BatchHandler {
 
   /// Answers one query; a DecodeError becomes kCorrupt, charged to the
   /// shard of the endpoint that failed.
-  QueryResult answer(WorkerState& ws, const Snapshot& snap,
-                     const QueryRequest& q, ChunkTally& tally);
+  QueryResult answer(const Snapshot& snap, const QueryRequest& q,
+                     ChunkTally& tally);
 
   /// Cold path: records a query-time corruption against v's shard and,
   /// past the quarantine_after threshold, demotes the shard and wakes

@@ -13,8 +13,6 @@ ServiceStats MetricsRegistry::aggregate() const {
     out.batches += w.batches.load(std::memory_order_relaxed);
     out.positive += w.positive.load(std::memory_order_relaxed);
     out.view_hits += w.view_hits.load(std::memory_order_relaxed);
-    out.cache_hits += w.cache_hits.load(std::memory_order_relaxed);
-    out.cache_misses += w.cache_misses.load(std::memory_order_relaxed);
     out.corruptions += w.corruptions.load(std::memory_order_relaxed);
     out.range_errors += w.range_errors.load(std::memory_order_relaxed);
     out.deadline_exceeded +=
@@ -71,10 +69,9 @@ std::string ServiceStats::to_json() const {
       buf, sizeof(buf),
       "{\"workers\":%" PRIu64 ",\"queries\":%" PRIu64 ",\"batches\":%" PRIu64
       ",\"positive\":%" PRIu64 ",\"view_hits\":%" PRIu64
-      ",\"cache_hits\":%" PRIu64
-      ",\"cache_misses\":%" PRIu64 ",\"corruptions\":%" PRIu64
-      ",\"range_errors\":%" PRIu64 ",\"shed_chunks\":%" PRIu64
-      ",\"shed_queries\":%" PRIu64 ",\"deadline_exceeded\":%" PRIu64
+      ",\"corruptions\":%" PRIu64 ",\"range_errors\":%" PRIu64
+      ",\"shed_chunks\":%" PRIu64 ",\"shed_queries\":%" PRIu64
+      ",\"deadline_exceeded\":%" PRIu64
       ",\"quarantine_hits\":%" PRIu64 ",\"heal_attempts\":%" PRIu64
       ",\"heal_successes\":%" PRIu64 ",\"snapshot\":{\"generation\":%" PRIu64
       ",\"labels\":%" PRIu64 ",\"bytes\":%" PRIu64 ",\"shards\":%" PRIu64
@@ -86,10 +83,10 @@ std::string ServiceStats::to_json() const {
       ",\"bytes_in\":%" PRIu64 ",\"bytes_out\":%" PRIu64
       "},\"latency_ns\":{\"p50\":%" PRIu64
       ",\"p90\":%" PRIu64 ",\"p99\":%" PRIu64 "},\"latency_hist\":[",
-      workers, queries, batches, positive, view_hits, cache_hits, cache_misses,
-      corruptions, range_errors, shed_chunks, shed_queries,
-      deadline_exceeded, quarantine_hits, heal_attempts, heal_successes,
-      snapshot_generation, snapshot_labels, snapshot_bytes, snapshot_shards,
+      workers, queries, batches, positive, view_hits, corruptions,
+      range_errors, shed_chunks, shed_queries, deadline_exceeded,
+      quarantine_hits, heal_attempts, heal_successes, snapshot_generation,
+      snapshot_labels, snapshot_bytes, snapshot_shards,
       quarantined_shards, net_accepted, net_open_connections,
       net_rejected_accept, net_rejected_admission, net_protocol_errors,
       net_timeouts_idle, net_timeouts_write, net_frames_in, net_frames_out,

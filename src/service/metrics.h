@@ -96,8 +96,6 @@ struct alignas(64) WorkerMetrics {
   std::atomic<std::uint64_t> batches{0};        ///< chunks executed
   std::atomic<std::uint64_t> positive{0};       ///< adjacent / within-f
   std::atomic<std::uint64_t> view_hits{0};      ///< answered from the bits
-  std::atomic<std::uint64_t> cache_hits{0};     ///< decoded-label cache
-  std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> corruptions{0};    ///< spot-check failures
   std::atomic<std::uint64_t> range_errors{0};   ///< id out of snapshot
   std::atomic<std::uint64_t> deadline_exceeded{0};  ///< queries cancelled
@@ -152,6 +150,7 @@ struct ServiceStats {
   std::uint64_t batches = 0;
   std::uint64_t positive = 0;
   std::uint64_t view_hits = 0;
+  // Always 0: kept only because bench/stack still reads them.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t corruptions = 0;

@@ -40,9 +40,9 @@
 // shared by pointer, no re-encode) in which the shard has been
 // re-admitted through the same CRC gate. with_quarantined_shard()
 // goes the other way: it demotes a shard whose bits turned out to be bad
-// at query time. Both return *new* snapshots with new ids — worker
-// caches tag by snapshot id, so healing naturally invalidates any stale
-// decoded labels.
+// at query time. Both return *new* snapshots with new ids, so tallies
+// keyed on a snapshot's id (the engine's per-shard corruption counts)
+// start over on the successor.
 //
 // Why a shared_mutex and not std::atomic<std::shared_ptr>? libstdc++'s
 // _Sp_atomic (GCC 12) releases its internal spinlock in load() with a
@@ -220,7 +220,7 @@ class Snapshot {
   /// Builds a successor snapshot in which quarantined shard s has been
   /// re-admitted through the admission CRC gate from its retained labels.
   /// Healthy shards are shared by pointer (no re-encode, no copy); the
-  /// successor gets a fresh id so worker caches self-invalidate.
+  /// successor gets a fresh id.
   /// Precondition: shard_healable(s). Throws CorruptionError when the
   /// re-admission fails again (e.g. a fault plan is still firing) — the
   /// caller backs off and retries.
@@ -246,9 +246,9 @@ class Snapshot {
   }
 
   /// Process-unique identity, assigned at construction from a monotonic
-  /// counter. Worker caches tag entries with this id, so a snapshot
-  /// allocated at a freed predecessor's address can never satisfy a
-  /// stale cache hit (no pointer ABA).
+  /// counter. The engine keys its per-shard corruption tallies on this
+  /// id, so a snapshot allocated at a freed predecessor's address never
+  /// inherits the predecessor's tallies (no pointer ABA).
   std::uint64_t id() const noexcept { return id_; }
 
  private:

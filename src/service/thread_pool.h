@@ -3,11 +3,11 @@
 // The batch engine shards work across workers explicitly (chunk i goes to
 // worker i mod W), so a single shared queue would only add contention:
 // per-worker queues give each worker an exclusive mutex + condvar and make
-// worker-owned state (decoded-label caches, metrics slots, RNG streams)
+// worker-owned state (shard-sort buffers, metrics slots, RNG streams)
 // trivially data-race free — worker w's jobs all run on thread w, in
 // submission order. There is deliberately no work stealing: the engine's
 // chunks are uniform, and stealing would let a job touch another worker's
-// cache, reintroducing the sharing this design removes.
+// state, reintroducing the sharing this design removes.
 //
 // Admission control: each queue can be capped (PoolOptions::queue_cap).
 // When a queue is full, try_submit() applies the shed policy — reject the

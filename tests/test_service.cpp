@@ -255,7 +255,6 @@ TEST(QueryService, MultiChunkBatchKeepsPositionsAndExactCounters) {
   EXPECT_EQ(stats.positive, positive);
   EXPECT_EQ(stats.range_errors, range);
   EXPECT_EQ(stats.quarantine_hits, quarantined);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
   EXPECT_EQ(stats.corruptions, 0u);
   std::uint64_t samples = 0;
   for (const std::uint64_t c : stats.latency_buckets) samples += c;
@@ -285,9 +284,8 @@ TEST(QueryService, BatchMatchesOracle) {
   }
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.queries, batch.size());
-  // Adjacency queries on a healthy snapshot are answered from decode
-  // plans; the label cache only serves the fallback path.
-  EXPECT_GT(stats.view_hits + stats.cache_hits + stats.cache_misses, 0u);
+  // Every adjacency query on a healthy snapshot answers from its plans.
+  EXPECT_EQ(stats.view_hits, batch.size());
   EXPECT_EQ(stats.corruptions, 0u);
 }
 
@@ -347,8 +345,8 @@ std::string write_distance_store(const DistanceEncoding& enc,
 }
 
 // Distance queries over an mmap'd v3 store answer from the mapped bits
-// through DistanceViews: every query is a view hit and the decoded-label
-// cache is never consulted.
+// through DistanceViews: every query is a view hit and no label is
+// materialized.
 TEST(QueryService, DistanceViewsServeMappedStoreWithoutCache) {
   const Graph g = test_graph(600);
   const auto enc = DistanceScheme(2, 2.5).encode(g);
@@ -389,7 +387,6 @@ TEST(QueryService, DistanceViewsServeMappedStoreWithoutCache) {
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.queries, batch.size());
   EXPECT_EQ(stats.view_hits, stats.queries);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
   EXPECT_EQ(stats.corruptions, 0u);
   std::remove(path.c_str());
 }
@@ -451,16 +448,50 @@ TEST(QueryService, DistanceCrcFailureIsChargedToTheFailingShard) {
   std::remove(path.c_str());
 }
 
-TEST(QueryService, CacheDisabledStillCorrect) {
-  const Graph g = test_graph(120);
-  const auto enc = test_encoding(g);
-  QueryService svc(Snapshot::build(enc.labeling, 4),
-                   {.threads = 2, .cache_entries = 0});
-  for (Vertex u = 0; u < 40; ++u) {
-    const QueryResult r = svc.query({u, (u + 1) % 120});
-    EXPECT_EQ(r.adjacent, g.has_edge(u, (u + 1) % 120));
+// Lemma 7 labels with f > kPlaneJoinMaxF have no complete DistanceView, so
+// every query takes the reference path: both labels materialized, then
+// DistanceScheme::distance. Served from an in-memory snapshot and from a
+// mapped v3 store, with and without spot checks.
+TEST(QueryService, DistanceAboveJoinBoundAnswersFromReferenceDecoder) {
+  const Graph g = test_graph(300);
+  const auto enc = DistanceScheme(9, 2.5).encode(g);
+  const std::string path = write_distance_store(enc, "dist_f9.plgl", 4);
+
+  Rng rng = stream_rng(79, 0);
+  std::vector<QueryRequest> batch;
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t u = rng.next_below(g.num_vertices());
+    batch.push_back({u, u});
+    batch.push_back({u, rng.next_below(g.num_vertices())});
   }
-  EXPECT_EQ(svc.stats().cache_hits, 0u);
+  std::size_t within = 0;
+  for (const bool mapped : {false, true}) {
+    for (const bool spot_check : {false, true}) {
+      QueryService svc(mapped ? Snapshot::from_file(path, 4)
+                              : Snapshot::build(enc.labeling, 4),
+                       {.threads = 2,
+                        .chunk = 64,
+                        .spot_check = spot_check,
+                        .kind = QueryKind::kDistance});
+      const auto results = svc.query_batch(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto oracle = DistanceScheme::distance(
+            enc.labeling[static_cast<Vertex>(batch[i].u)],
+            enc.labeling[static_cast<Vertex>(batch[i].v)]);
+        ASSERT_EQ(results[i].status, QueryStatus::kOk)
+            << "mapped=" << mapped << " spot_check=" << spot_check;
+        ASSERT_EQ(results[i].distance,
+                  oracle ? static_cast<std::int64_t>(*oracle) : -1);
+        within += oracle ? 1u : 0u;
+      }
+      const ServiceStats stats = svc.stats();
+      EXPECT_EQ(stats.queries, batch.size());
+      EXPECT_EQ(stats.view_hits, 0u);
+      EXPECT_EQ(stats.corruptions, 0u);
+    }
+  }
+  EXPECT_GT(within, 4 * batch.size() / 2);  // the self pairs and more
+  std::remove(path.c_str());
 }
 
 TEST(QueryService, SpotCheckPassesOnCleanStore) {
@@ -480,7 +511,7 @@ TEST(QueryService, ConcurrentHammerMatchesOracle) {
   const Graph g = test_graph(500, 5);
   const auto enc = test_encoding(g);
   QueryService svc(Snapshot::build(enc.labeling, 8),
-                   {.threads = 4, .chunk = 64, .cache_entries = 256});
+                   {.threads = 4, .chunk = 64});
 
   constexpr int kCallers = 4;
   constexpr int kBatchesPerCaller = 10;
@@ -522,16 +553,16 @@ TEST(QueryService, ConcurrentHammerMatchesOracle) {
 
 // Hot swap under fire: a swapper thread continuously reloads alternating
 // snapshots (different tau → different labels, same answers) while caller
-// threads verify every answer against the oracle. Any torn snapshot view,
-// stale cache hit across generations, or use-after-free shows up as a
-// wrong answer here — and as a TSan report in the sanitize job.
+// threads verify every answer against the oracle. Any torn snapshot view
+// or use-after-free shows up as a wrong answer here — and as a TSan
+// report in the sanitize job.
 TEST(QueryService, HotSwapUnderQueryStorm) {
   const Graph g = test_graph(400, 11);
   const auto enc_a = thin_fat_encode(g, 8);
   const auto enc_b = thin_fat_encode(g, 24);
 
   QueryService svc(Snapshot::build(enc_a.labeling, 8),
-                   {.threads = 4, .chunk = 32, .cache_entries = 128});
+                   {.threads = 4, .chunk = 32});
 
   std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};

@@ -35,7 +35,7 @@
 //       parse, v3 mapped), re-partitions into S shards (default 16), writes
 //       atomically (tmp + rename) so in == out migrates in place.
 //   plgtool serve <labels.plgl> [--threads T] [--shards S] [--batch B]
-//                 [--cache C] [--spot-check] [--scheme thin-fat|distance]
+//                 [--spot-check] [--scheme thin-fat|distance]
 //                 [--strict|--lenient] [--queue-cap N]
 //                 [--shed-policy reject|drop-oldest]
 //       concurrent query service over the store: line protocol on
@@ -150,7 +150,7 @@ using namespace plg;
                "  plgtool verify <labels.plgl>\n"
                "  plgtool pack <in.plgl> <out.plgl> [--shards S]\n"
                "  plgtool serve <labels.plgl> [--threads T] [--shards S] "
-               "[--batch B] [--cache C] [--spot-check] "
+               "[--batch B] [--spot-check] "
                "[--scheme thin-fat|distance] [--strict|--lenient] "
                "[--queue-cap N] [--shed-policy reject|drop-oldest]\n"
                "                [--tcp PORT] [--max-conns N] [--idle-ms MS] "
@@ -191,7 +191,6 @@ struct Flags {
   std::optional<unsigned> threads;        // serve: worker count
   std::optional<std::size_t> shards;      // serve/stats: snapshot shards
   std::optional<std::size_t> batch;       // serve: queries per chunk
-  std::optional<std::size_t> cache;       // serve: per-worker cache entries
   bool spot_check = false;                // serve: checksum every decode
   bool fast = false;                      // lquery: zero-copy decode plans
   std::string scheme = "thin-fat";        // serve: which decoder
@@ -260,8 +259,6 @@ struct Flags {
         f.shards = std::strtoull(value(), nullptr, 10);
       } else if (key == "--batch") {
         f.batch = std::strtoull(value(), nullptr, 10);
-      } else if (key == "--cache") {
-        f.cache = std::strtoull(value(), nullptr, 10);
       } else if (key == "--spot-check") {
         f.spot_check = true;
       } else if (key == "--fast") {
@@ -796,7 +793,6 @@ int cmd_serve(int argc, char** argv) {
   service::ServiceOptions opt;
   opt.threads = f.threads.value_or(0);
   opt.chunk = f.batch.value_or(256);
-  opt.cache_entries = f.cache.value_or(1024);
   opt.spot_check = f.spot_check;
   opt.kind = f.scheme == "distance" ? service::QueryKind::kDistance
                                     : service::QueryKind::kAdjacency;
