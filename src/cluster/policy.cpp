@@ -59,33 +59,18 @@ bool retriable_frame_status(service::wire::FrameStatus s) noexcept {
 }
 
 std::uint64_t hedge_delay_ns(const HedgePolicy& p,
-                             const service::LatencyHistogram& hist,
-                             std::uint64_t samples) {
+                             const service::LatencyHistogram& hist) {
   const std::uint64_t floor_ns = p.min_us * 1000;
   const std::uint64_t cap_ns = std::max(p.max_us * 1000, floor_ns);
-  if (samples < p.warmup_samples) return cap_ns;
-  // Bucket-resolution quantile over the 64 log2 buckets.
-  std::uint64_t total = 0;
-  for (int b = 0; b < service::kLatencyBuckets; ++b) total += hist.bucket(b);
-  if (total == 0) return cap_ns;
-  const double q = std::clamp(p.quantile, 0.0, 1.0);
-  std::uint64_t rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(total - 1));
-  std::uint64_t seen = 0;
-  int bucket = 0;
-  for (int b = 0; b < service::kLatencyBuckets; ++b) {
-    seen += hist.bucket(b);
-    if (seen > rank) {
-      bucket = b;
-      break;
-    }
-  }
-  // Upper bound of the bucket: "slower than virtually all of this
-  // node's answers" — the natural moment to suspect a straggler.
-  const std::uint64_t est =
-      service::latency_bucket_floor(bucket) == 0
-          ? 1
-          : service::latency_bucket_floor(bucket) * 2;
+  std::uint64_t buckets[service::kLatencyBuckets] = {};
+  hist.add_to(buckets);
+  std::uint64_t samples = 0;
+  for (const std::uint64_t c : buckets) samples += c;
+  if (samples == 0 || samples < p.warmup_samples) return cap_ns;
+  // Upper bound of the quantile's bucket: "slower than virtually all of
+  // this node's answers" — the natural moment to suspect a straggler.
+  const std::uint64_t lo = service::latency_quantile_ns(buckets, p.quantile);
+  const std::uint64_t est = lo == 0 ? 1 : lo * 2;
   return std::clamp(est, floor_ns, cap_ns);
 }
 

@@ -68,12 +68,12 @@ struct HedgePolicy {
 };
 
 /// Adaptive hedge delay in nanoseconds for a node whose completed
-/// exchanges populated `hist` (`samples` = count recorded). The
-/// quantile is bucket-resolution (2x error), which is plenty: the
-/// hedge delay only needs to separate "typical" from "stuck".
+/// exchanges populated `hist` (its bucket total is the sample count the
+/// warm-up checks). The quantile is bucket-resolution (2x error), which
+/// is plenty: the hedge delay only needs to separate "typical" from
+/// "stuck".
 std::uint64_t hedge_delay_ns(const HedgePolicy& p,
-                             const service::LatencyHistogram& hist,
-                             std::uint64_t samples);
+                             const service::LatencyHistogram& hist);
 
 // ------------------------------------------------- health state machine
 

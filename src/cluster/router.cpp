@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <latch>
 #include <map>
 #include <utility>
 
@@ -140,32 +141,15 @@ std::vector<QueryResult> Router::query_batch(
   } else if (!flows.empty()) {
     // Scatter flows across the worker pool; the latch lives on this
     // stack frame and outlives every job (we wait before returning).
-    struct Latch {
-      util::Mutex mu;
-      std::condition_variable cv;
-      std::size_t remaining PLG_GUARDED_BY(mu) = 0;
-    };
-    Latch latch;
-    {
-      util::MutexLock lk(latch.mu);
-      latch.remaining = flows.size();
-    }
+    std::latch done(static_cast<std::ptrdiff_t>(flows.size()));
     for (const Flow& f : flows) {
       const unsigned w = next_worker_.fetch_add(1, std::memory_order_relaxed);
-      pool_.submit(w, [this, &batch, &f, overall, &results, &latch] {
+      pool_.submit(w, [this, &batch, &f, overall, &results, &done] {
         run_flow(batch, f, overall, results);
-        // Notify under the lock: the waiter destroys the stack latch as
-        // soon as it sees remaining==0, so the signal must complete
-        // before this job ever releases mu.
-        util::MutexLock lk(latch.mu);
-        --latch.remaining;
-        latch.cv.notify_one();
+        done.count_down();
       });
     }
-    {
-      util::MutexLock lk(latch.mu);
-      while (latch.remaining > 0) lk.wait(latch.cv);
-    }
+    done.wait();
   }
 
   {
@@ -435,9 +419,7 @@ Router::ExchangeOutcome Router::exchange(
   if (opt_.hedge.enabled && flow.nodes.size() > 1) {
     hedge_node = pick_node(flow, 0, static_cast<int>(primary));
     if (hedge_node >= 0) {
-      const std::uint64_t delay_ns = hedge_delay_ns(
-          opt_.hedge, pn.latency,
-          pn.latency_samples.load(std::memory_order_relaxed));
+      const std::uint64_t delay_ns = hedge_delay_ns(opt_.hedge, pn.latency);
       hedge_at = arms[0].sent_at + std::chrono::nanoseconds(delay_ns);
     }
   }
@@ -503,7 +485,6 @@ Router::ExchangeOutcome Router::exchange(
                   now() - a.sent_at)
                   .count());
           n.latency.record(lat_ns);
-          n.latency_samples.fetch_add(1, std::memory_order_relaxed);
           record_outcome(a.node, true);
           if (a.is_hedge) n.hedge_wins.fetch_add(1, std::memory_order_relaxed);
           release_conn(n, std::move(*a.conn));
@@ -620,20 +601,6 @@ bool Router::probe_once(const NodeEndpoint& ep) {
   return resp.header.verb == wire::Verb::kPing && resp.header.request_id == 1;
 }
 
-service::ServiceStats Router::stats() const {
-  service::ServiceStats s;
-  s.workers = pool_.size();
-  s.queries = queries_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  for (const std::unique_ptr<Node>& n : nodes_) {
-    for (int b = 0; b < service::kLatencyBuckets; ++b) {
-      s.latency_buckets[b] += n->latency.bucket(b);
-    }
-  }
-  return s;
-}
-
 NodeStatsView Router::node_stats(std::uint32_t node) const {
   const Node& n = *nodes_[node];
   NodeStatsView v;
@@ -661,8 +628,16 @@ NodeState Router::node_state(std::uint32_t node) const {
   return nodes_[node]->health.state();
 }
 
-std::string Router::extra_stats_json() const {
-  std::string out = "\"cluster\":{";
+std::string Router::stats_json() const {
+  std::uint64_t buckets[service::kLatencyBuckets] = {};
+  for (const std::unique_ptr<Node>& n : nodes_) n->latency.add_to(buckets);
+  std::string out = "{\"queries\":" +
+                    std::to_string(queries_.load(std::memory_order_relaxed));
+  out += ",\"deadline_exceeded\":" +
+         std::to_string(deadline_exceeded_.load(std::memory_order_relaxed));
+  out += ',';
+  service::append_latency_json(out, buckets);
+  out += ",\"cluster\":{";
   out += "\"nodes_total\":" + std::to_string(cfg_.num_nodes());
   out += ",\"replication\":" + std::to_string(cfg_.replication);
   out += ",\"key_shards\":" + std::to_string(cfg_.key_shards);
@@ -691,7 +666,7 @@ std::string Router::extra_stats_json() const {
     out += ",\"probes\":" + std::to_string(v.probes);
     out += "}";
   }
-  out += "]}";
+  out += "]}}";
   return out;
 }
 

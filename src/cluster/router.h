@@ -120,8 +120,10 @@ class Router final : public service::BatchHandler {
       const service::BatchOptions& bopt) override;
 
   service::QueryKind kind() const noexcept override { return opt_.kind; }
-  service::ServiceStats stats() const override;
-  std::string extra_stats_json() const override;
+  /// `{"queries","deadline_exceeded","latency_ns","latency_hist",
+  /// "cluster":{..per-node table..}}`; latency is per exchange, summed
+  /// over the nodes' histograms.
+  std::string stats_json() const override;
   void drain() override;
 
   const ClusterConfig& config() const noexcept { return cfg_; }
@@ -162,7 +164,6 @@ class Router final : public service::BatchHandler {
     std::atomic<std::uint64_t> recovered{0};
     std::atomic<std::uint64_t> probes{0};
     service::LatencyHistogram latency;
-    std::atomic<std::uint64_t> latency_samples{0};
   };
 
   /// One group of batch indices sharing an eligible-node signature.

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -126,13 +127,10 @@ class BatchHandler {
   /// Which decoder/verb this handler serves.
   virtual QueryKind kind() const noexcept = 0;
 
-  /// Point-in-time counters for the STATS verb and final logging.
-  virtual ServiceStats stats() const = 0;
-
-  /// Extra JSON fields spliced into the STATS object after the standard
-  /// report (e.g. the router's per-node table). Either empty or a
-  /// comma-joinable `"key":value` fragment without braces.
-  virtual std::string extra_stats_json() const { return std::string(); }
+  /// Point-in-time report of the counters this handler keeps, as one
+  /// single-line JSON object (the "service" object of the TCP STATS
+  /// reply and the final log line).
+  virtual std::string stats_json() const = 0;
 
   /// Blocks until in-flight work has settled (graceful shutdown).
   virtual void drain() = 0;
@@ -179,7 +177,8 @@ class QueryService final : public BatchHandler {
   QueryKind kind() const noexcept override { return opt_.kind; }
 
   /// Aggregated counters + latency histogram + snapshot info.
-  ServiceStats stats() const override;
+  ServiceStats stats() const;
+  std::string stats_json() const override { return stats().to_json(); }
 
  private:
   struct WorkerState;

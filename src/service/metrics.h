@@ -60,9 +60,27 @@ class LatencyHistogram {
     return buckets_[b].load(std::memory_order_relaxed);
   }
 
+  /// Adds one relaxed read of every bucket into `out`.
+  void add_to(std::uint64_t (&out)[kLatencyBuckets]) const noexcept {
+    for (int b = 0; b < kLatencyBuckets; ++b) out[b] += bucket(b);
+  }
+
  private:
   std::atomic<std::uint64_t> buckets_[kLatencyBuckets] = {};
 };
+
+/// Bucket-resolution quantile: lower bound (ns) of the bucket holding the
+/// q-quantile sample of `buckets` (q clamped to [0,1]); 0 when there are
+/// no samples. The one rank walk behind both the STATS quantiles and the
+/// router's hedge delay.
+std::uint64_t latency_quantile_ns(
+    const std::uint64_t (&buckets)[kLatencyBuckets], double q) noexcept;
+
+/// Appends `"latency_ns":{"p50":..,"p90":..,"p99":..},"latency_hist":[..]`
+/// (bucket-floor quantiles and the non-empty buckets as [floor_ns, count]
+/// pairs) — the latency part of both the engine's and the router's report.
+void append_latency_json(std::string& out,
+                         const std::uint64_t (&buckets)[kLatencyBuckets]);
 
 /// One worker's slot. alignas(64) prevents false sharing between
 /// neighboring workers' counters (the histogram is already line-sized).
@@ -122,15 +140,15 @@ struct SharedCounters {
   std::atomic<std::uint64_t> heal_successes{0};  ///< shards re-admitted
 };
 
-/// Connection-plane counters for the TCP front-end (NetServer). Owned by
-/// the server, not the engine: a stdin-served process has no connection
-/// plane and reports all-zero. Multi-writer relaxed atomics by the same
-/// contract as SharedCounters — bytes_in/out and frame counts are
-/// bumped from the event-loop thread, rejected_admission from whichever
-/// dispatcher hit the full queue, and the stats aggregation may read
+/// Connection-plane counters for the TCP front-end (NetServer), which
+/// owns them and renders them as the "net" object of its STATS reply.
+/// Relaxed atomics by the same contract as SharedCounters: every counter
+/// is bumped from the event-loop thread (rejected_admission too, in
+/// admit_batch when the dispatch queue is full), and to_json() may read
 /// concurrently from any thread.
 struct NetCounters {
   std::atomic<std::uint64_t> accepted{0};        ///< connections admitted
+  std::atomic<std::uint64_t> open{0};            ///< connections open now
   std::atomic<std::uint64_t> rejected_accept{0};  ///< closed at accept (caps)
   std::atomic<std::uint64_t> rejected_admission{0};  ///< frames shed in-band
   std::atomic<std::uint64_t> protocol_errors{0};  ///< malformed frames
@@ -141,6 +159,9 @@ struct NetCounters {
   std::atomic<std::uint64_t> bytes_in{0};         ///< socket bytes read
   std::atomic<std::uint64_t> bytes_out{0};        ///< socket bytes written
   std::atomic<std::uint64_t> accept_errors{0};    ///< accept() hard errors
+
+  /// One relaxed read of the counters as a single-line JSON object.
+  std::string to_json() const;
 };
 
 /// Plain-value aggregate of every worker slot at one instant.
@@ -167,31 +188,15 @@ struct ServiceStats {
   std::uint64_t snapshot_bytes = 0;
   std::uint64_t snapshot_shards = 0;
 
-  // Connection-plane totals (all zero unless served over TCP; filled by
-  // NetServer::stats from its NetCounters).
-  std::uint64_t net_accepted = 0;
-  std::uint64_t net_rejected_accept = 0;
-  std::uint64_t net_rejected_admission = 0;
-  std::uint64_t net_protocol_errors = 0;
-  std::uint64_t net_timeouts_idle = 0;
-  std::uint64_t net_timeouts_write = 0;
-  std::uint64_t net_frames_in = 0;
-  std::uint64_t net_frames_out = 0;
-  std::uint64_t net_bytes_in = 0;
-  std::uint64_t net_bytes_out = 0;
-  std::uint64_t net_open_connections = 0;
-
   std::uint64_t latency_buckets[kLatencyBuckets] = {};
 
-  /// Copies one point-in-time read of `net` into the net_* fields.
-  void fill_net(const NetCounters& net, std::uint64_t open_connections);
-
-  /// Bucket-resolution quantile: lower bound (ns) of the bucket holding
-  /// the q-quantile sample (q in [0,1]). 0 when no samples recorded.
-  std::uint64_t latency_quantile_ns(double q) const noexcept;
+  /// service::latency_quantile_ns over latency_buckets.
+  std::uint64_t latency_quantile_ns(double q) const noexcept {
+    return service::latency_quantile_ns(latency_buckets, q);
+  }
 
   /// Serializes the whole report as a single-line JSON object (the
-  /// `plgtool serve` STATS reply and the bench artifact schema).
+  /// line-protocol STATS reply, and the "service" object of a TCP node's).
   std::string to_json() const;
 };
 

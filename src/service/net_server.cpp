@@ -220,10 +220,9 @@ void NetServer::join() {
   handler_.drain();
 }
 
-ServiceStats NetServer::stats() const {
-  ServiceStats s = handler_.stats();
-  s.fill_net(net_, open_conns_.load(std::memory_order_relaxed));
-  return s;
+std::string NetServer::stats_json() const {
+  return "{\"net\":" + net_.to_json() +
+         ",\"service\":" + handler_.stats_json() + "}";
 }
 
 std::uint64_t NetServer::now_tick() const {
@@ -439,7 +438,7 @@ void NetServer::do_accept() {
 
     conns_.emplace(token, std::move(conn));
     net_.accepted.fetch_add(1, std::memory_order_relaxed);
-    open_conns_.fetch_add(1, std::memory_order_relaxed);
+    net_.open.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -575,16 +574,7 @@ NetServer::FrameAction NetServer::handle_frame(Conn& c,
         wire::put_header(resp, Verb::kPing, FrameStatus::kOk, hdr.request_id,
                          0);
       } else {
-        std::string json = stats().to_json();
-        // Splice handler-specific fields (the router's per-node table)
-        // into the standard report: "...}" -> "...,<extra>}".
-        const std::string extra = handler_.extra_stats_json();
-        if (!extra.empty() && !json.empty() && json.back() == '}') {
-          json.pop_back();
-          json += ',';
-          json += extra;
-          json += '}';
-        }
+        const std::string json = stats_json();
         wire::put_header(resp, Verb::kStats, FrameStatus::kOk, hdr.request_id,
                          static_cast<std::uint32_t>(json.size()));
         resp.insert(resp.end(), json.begin(), json.end());
@@ -809,7 +799,7 @@ void NetServer::close_conn(std::uint64_t token) {
   if (it == conns_.end()) return;
   ::close(it->second->fd);  // also removes the fd from the epoll set
   conns_.erase(it);
-  open_conns_.fetch_sub(1, std::memory_order_relaxed);
+  net_.open.fetch_sub(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

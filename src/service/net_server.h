@@ -138,8 +138,9 @@ class NetServer {
   /// The bound (possibly ephemeral) port.
   std::uint16_t port() const noexcept { return bound_port_; }
 
-  /// Engine stats with the connection-plane counters filled in.
-  ServiceStats stats() const;
+  /// The STATS reply: `{"net":<net_counters().to_json()>,
+  /// "service":<handler.stats_json()>}`.
+  std::string stats_json() const;
 
   const NetCounters& net_counters() const noexcept { return net_; }
 
@@ -220,7 +221,6 @@ class NetServer {
 
   // --- cross-thread state ---
   std::atomic<bool> stop_requested_{false};
-  std::atomic<std::uint64_t> open_conns_{0};
   /// Frames admitted to dispatchers but not yet completed (drain gate).
   std::atomic<std::uint64_t> inflight_jobs_{0};
 

@@ -150,23 +150,24 @@ TEST(ClusterPolicy, HedgeDelayWarmupAndClamp) {
 
   service::LatencyHistogram hist;
   // Cold histogram: conservative (hedge late) until warmed up.
-  EXPECT_EQ(hedge_delay_ns(p, hist, 0), p.max_us * 1000);
-  EXPECT_EQ(hedge_delay_ns(p, hist, 7), p.max_us * 1000);
+  EXPECT_EQ(hedge_delay_ns(p, hist), p.max_us * 1000);
+  for (int i = 0; i < 7; ++i) hist.record(std::uint64_t{1} << 19);
+  EXPECT_EQ(hedge_delay_ns(p, hist), p.max_us * 1000);
 
   // 100 samples near 2^19 ns (~0.5 ms): p95 bucket is 19, estimate is
   // the bucket's upper bound 2^20 ns = ~1.05 ms, inside the clamp.
-  for (int i = 0; i < 100; ++i) hist.record(std::uint64_t{1} << 19);
-  EXPECT_EQ(hedge_delay_ns(p, hist, 100), std::uint64_t{1} << 20);
+  for (int i = 7; i < 100; ++i) hist.record(std::uint64_t{1} << 19);
+  EXPECT_EQ(hedge_delay_ns(p, hist), std::uint64_t{1} << 20);
 
   // A sub-floor estimate clamps up to min_us.
   service::LatencyHistogram fast;
   for (int i = 0; i < 100; ++i) fast.record(1'000);  // ~1 us answers
-  EXPECT_EQ(hedge_delay_ns(p, fast, 100), p.min_us * 1000);
+  EXPECT_EQ(hedge_delay_ns(p, fast), p.min_us * 1000);
 
   // A straggler-heavy tail clamps down to max_us.
   service::LatencyHistogram slow;
   for (int i = 0; i < 100; ++i) slow.record(std::uint64_t{1} << 33);  // ~8.6 s
-  EXPECT_EQ(hedge_delay_ns(p, slow, 100), p.max_us * 1000);
+  EXPECT_EQ(hedge_delay_ns(p, slow), p.max_us * 1000);
 }
 
 // ------------------------------------------------------------ config units
@@ -840,7 +841,7 @@ TEST(ClusterRouter, WrongRequestIdEchoIsAProtocolErrorNotAnAnswer) {
   EXPECT_EQ(v.ok, 0u);
 }
 
-TEST(ClusterRouter, ServesBehindNetServerWithSplicedStats) {
+TEST(ClusterRouter, ServesBehindNetServerWithComposedStats) {
   const AdjCorpus corpus(150);
   ClusterHarness h(corpus.enc.labeling, QueryKind::kAdjacency, 3, 2);
   Router router(h.cfg, fast_router_opts());
@@ -872,7 +873,14 @@ TEST(ClusterRouter, ServesBehindNetServerWithSplicedStats) {
 
   std::string json;
   ASSERT_TRUE(c.stats_json(8, json));
-  EXPECT_NE(json.find("\"cluster\":{"), std::string::npos);
+  // {"net":{..},"service":{..router report..}}: one cluster block, and
+  // none of an engine's snapshot fields (a router holds no labels).
+  EXPECT_EQ(json.rfind("{\"net\":{", 0), 0u) << json;
+  const std::size_t cluster = json.find("\"cluster\":{");
+  ASSERT_NE(cluster, std::string::npos) << json;
+  EXPECT_EQ(json.find("\"cluster\":{", cluster + 1), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"snapshot\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"state\":\"healthy\""), std::string::npos);
   EXPECT_NE(json.find("\"hedge_wins\":"), std::string::npos);
 

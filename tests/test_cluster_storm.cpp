@@ -422,7 +422,7 @@ TEST(ClusterStorm, KillAndStopNodesUnderSixtyFourConnections) {
   }
   EXPECT_GE(retries, 1u);
 
-  // The spliced stats survive the storm (the observability contract the
+  // The composed stats survive the storm (the observability contract the
   // CI job curls mid-incident).
   NetClient c;
   c.set_timeout_ms(10'000);

@@ -148,6 +148,12 @@ TEST(NetServer, PingStatsDeadlineRoundTrip) {
   EXPECT_NE(json.find("\"net\":{\"accepted\":"), std::string::npos);
   EXPECT_NE(json.find("\"protocol_errors\":"), std::string::npos);
   EXPECT_NE(json.find("\"timeouts_idle\":"), std::string::npos);
+  const std::size_t service = json.find("\"service\":{");
+  ASSERT_NE(service, std::string::npos) << json;
+  EXPECT_NE(json.find("\"labels\":" + std::to_string(ts.snap->size()),
+                      service),
+            std::string::npos)
+      << json;
 
   ASSERT_TRUE(c.set_deadline(13, 5000, resp));
   EXPECT_EQ(resp.header.verb, Verb::kDeadline);
@@ -512,9 +518,9 @@ TEST(NetServer, GracefulDrainCompletesInFlightWork) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(completed.load(), 0u);
   // Every connection is gone and the counters balance.
-  const ServiceStats stats = ts.server->stats();
-  EXPECT_EQ(stats.net_open_connections, 0u);
-  EXPECT_EQ(stats.net_frames_in, stats.net_frames_out);
+  const NetCounters& net = ts.server->net_counters();
+  EXPECT_EQ(net.open.load(), 0u);
+  EXPECT_EQ(net.frames_in.load(), net.frames_out.load());
 }
 
 // ------------------------------------------------------------------ storm
@@ -708,18 +714,15 @@ TEST(NetCounters, JsonShapeCarriesEveryConnectionPlaneField) {
   net.frames_out.store(71);
   net.bytes_in.store(1000);
   net.bytes_out.store(2000);
+  net.open.store(9);
 
-  ServiceStats stats;
-  stats.fill_net(net, 9);
-  const std::string json = stats.to_json();
-  EXPECT_NE(json.find("\"net\":{\"accepted\":3,\"open\":9,"
-                      "\"rejected_accept\":1,\"rejected_admission\":2,"
-                      "\"protocol_errors\":4,\"timeouts_idle\":5,"
-                      "\"timeouts_write\":6,\"frames_in\":70,"
-                      "\"frames_out\":71,\"bytes_in\":1000,"
-                      "\"bytes_out\":2000}"),
-            std::string::npos)
-      << json;
+  EXPECT_EQ(net.to_json(),
+            "{\"accepted\":3,\"open\":9,"
+            "\"rejected_accept\":1,\"rejected_admission\":2,"
+            "\"protocol_errors\":4,\"timeouts_idle\":5,"
+            "\"timeouts_write\":6,\"frames_in\":70,"
+            "\"frames_out\":71,\"bytes_in\":1000,"
+            "\"bytes_out\":2000}");
 }
 
 }  // namespace

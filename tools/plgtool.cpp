@@ -56,19 +56,22 @@
 //       --dispatchers, --dispatch-queue tune the connection plane.
 //   plgtool netbench <host:port|port> [--conns N] [--batch B] [--count Q]
 //                    [--scheme thin-fat|distance] [--seed S]
-//       loopback load generator for a --tcp server: N concurrent
-//       connections send Q total queries in batches of B, then print a
-//       one-line JSON report (QPS, p50/p99 batch latency).
+//       load generator for a `serve --tcp` node (host defaults to
+//       127.0.0.1): N concurrent connections send Q total queries in
+//       batches of B over the node's label ids, then print a one-line
+//       JSON report (QPS, p50/p99 batch latency). Exits 2 when the
+//       target's STATS reports no labels (e.g. a `route` front-end).
 //   plgtool stats <labels.plgl>
 //       one-line JSON observability report for a store: integrity
 //       verdict, label count/bytes, label-size distribution, fat/thin
 //       split. v3 stores additionally report the shard count; the
 //       integrity verdict covers every shard's CRC.
 //   plgtool stats --tcp <port> [--host H]
-//       fetch the one-line JSON stats report from a live --tcp server
-//       (a `serve --tcp` node or a `route` front-end; the router's
-//       report embeds a "cluster" object with per-node health and
-//       retry/hedge counters).
+//       fetch the one-line JSON stats report from a live --tcp server:
+//       {"net":{..connection plane..},"service":{..}}, where "service" is
+//       a `serve --tcp` node's engine report or a `route` front-end's
+//       router report (exchange latency and a "cluster" object with
+//       per-node health and retry/hedge counters).
 //   plgtool partition <graph.txt> <outdir> --nodes N [--replication R]
 //                     [--key-shards K] [--cluster-seed S] [--shards S]
 //                     [--scheme thin-fat|distance] [--f F] [--alpha A]
@@ -155,7 +158,7 @@ using namespace plg;
                "[--queue-cap N] [--shed-policy reject|drop-oldest]\n"
                "                [--tcp PORT] [--max-conns N] [--idle-ms MS] "
                "[--stall-ms MS] [--dispatchers N] [--dispatch-queue N]\n"
-               "  plgtool netbench <port> [--conns N] [--batch B] "
+               "  plgtool netbench <host:port|port> [--conns N] [--batch B] "
                "[--count Q] [--scheme thin-fat|distance] [--seed S]\n"
                "  plgtool stats <labels.plgl>\n"
                "  plgtool stats --tcp <port> [--host H]\n"
@@ -773,6 +776,28 @@ void install_serve_signals() {
   sigaction(SIGTERM, &sa, nullptr);
 }
 
+/// Serves `handler` (a node's engine or a router) on the --tcp port with
+/// the connection-plane flags until SIGINT/SIGTERM drains the plane, then
+/// logs the final STATS reply.
+int serve_tcp(service::BatchHandler& handler, const Flags& f) {
+  service::NetServerOptions nopt;
+  nopt.port = static_cast<std::uint16_t>(*f.tcp);
+  if (f.max_conns) nopt.max_connections = *f.max_conns;
+  if (f.idle_ms) nopt.idle_timeout_ms = *f.idle_ms;
+  if (f.stall_ms) nopt.write_stall_timeout_ms = *f.stall_ms;
+  if (f.dispatchers) nopt.dispatchers = *f.dispatchers;
+  if (f.dispatch_queue) nopt.dispatch_queue_cap = *f.dispatch_queue;
+  nopt.stop = &g_serve_stop;
+  service::NetServer server(handler, nopt);
+  std::fprintf(stderr, "listening on %s:%u (binary frame protocol v%u)\n",
+               nopt.bind_address.c_str(), server.port(),
+               service::wire::kWireVersion);
+  server.start();
+  server.join();  // returns after SIGINT/SIGTERM drains the plane
+  std::fprintf(stderr, "final stats: %s\n", server.stats_json().c_str());
+  return 0;
+}
+
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string path = argv[2];
@@ -820,25 +845,7 @@ int cmd_serve(int argc, char** argv) {
 
   install_serve_signals();
 
-  if (f.tcp) {
-    service::NetServerOptions nopt;
-    nopt.port = static_cast<std::uint16_t>(*f.tcp);
-    if (f.max_conns) nopt.max_connections = *f.max_conns;
-    if (f.idle_ms) nopt.idle_timeout_ms = *f.idle_ms;
-    if (f.stall_ms) nopt.write_stall_timeout_ms = *f.stall_ms;
-    if (f.dispatchers) nopt.dispatchers = *f.dispatchers;
-    if (f.dispatch_queue) nopt.dispatch_queue_cap = *f.dispatch_queue;
-    nopt.stop = &g_serve_stop;
-    service::NetServer server(svc, nopt);
-    std::fprintf(stderr, "listening on %s:%u (binary frame protocol v%u)\n",
-                 nopt.bind_address.c_str(), server.port(),
-                 service::wire::kWireVersion);
-    server.start();
-    server.join();  // returns after SIGINT/SIGTERM drains the plane
-    std::fprintf(stderr, "final stats: %s\n",
-                 server.stats().to_json().c_str());
-    return 0;
-  }
+  if (f.tcp) return serve_tcp(svc, f);
 
   service::ServeOptions sopt;
   sopt.num_shards = shards;
@@ -854,13 +861,23 @@ int cmd_serve(int argc, char** argv) {
 
 // --------------------------------------------------------------- netbench
 
-/// Loopback load generator for a `serve --tcp` process. Each connection
-/// thread round-trips batches of random (u,v) pairs and records the
-/// batch latency; the report aggregates throughput and tail latency.
+/// Load generator for a `serve --tcp` process. Each connection thread
+/// round-trips batches of random (u,v) pairs and records the batch
+/// latency; the report aggregates throughput and tail latency.
 int cmd_netbench(int argc, char** argv) {
   if (argc < 3) usage();
-  const std::uint16_t port =
-      static_cast<std::uint16_t>(std::strtoul(argv[2], nullptr, 10));
+  // A bare port means 127.0.0.1:port (parse_nodes fills an empty host).
+  const std::string target = argv[2];
+  const std::vector<cluster::NodeEndpoint> eps =
+      cluster::ClusterConfig::parse_nodes(
+          target.find(':') == std::string::npos ? ":" + target : target);
+  if (eps.size() != 1) {
+    std::fprintf(stderr, "netbench: expected one host:port, got %s\n",
+                 target.c_str());
+    return 2;
+  }
+  const std::string& host = eps[0].host;
+  const std::uint16_t port = eps[0].port;
   const Flags f = Flags::parse(argc, argv, 3);
   const std::size_t conns = std::max<std::size_t>(1, f.conns.value_or(4));
   const std::size_t batch = std::max<std::size_t>(1, f.batch.value_or(512));
@@ -873,8 +890,9 @@ int cmd_netbench(int argc, char** argv) {
   std::uint64_t num_labels = 0;
   {
     service::NetClient probe;
-    if (!probe.connect(port)) {
-      std::fprintf(stderr, "netbench: cannot connect to port %u\n", port);
+    if (!probe.connect(port, host)) {
+      std::fprintf(stderr, "netbench: cannot connect to %s:%u\n",
+                   host.c_str(), port);
       return 2;
     }
     std::string json;
@@ -885,7 +903,14 @@ int cmd_netbench(int argc, char** argv) {
       }
     }
   }
-  if (num_labels == 0) num_labels = 1;
+  if (num_labels == 0) {
+    // A route front-end keeps no labels, so its STATS has no count.
+    std::fprintf(stderr,
+                 "netbench: the STATS reply from %s:%u reports no labels; "
+                 "point netbench at a serve --tcp node\n",
+                 host.c_str(), port);
+    return 2;
+  }
 
   const std::uint64_t per_conn = (total + conns - 1) / conns;
   std::vector<std::vector<double>> lat_us(conns);
@@ -899,7 +924,7 @@ int cmd_netbench(int argc, char** argv) {
     threads.emplace_back([&, t] {
       Rng rng(f.seed + t);
       service::NetClient client;
-      if (!client.connect(port)) {
+      if (!client.connect(port, host)) {
         failed.store(true, std::memory_order_relaxed);
         return;
       }
@@ -1180,22 +1205,7 @@ int cmd_route(int argc, char** argv) {
                ropt.hedge.enabled ? "on" : "off", ropt.retry.max_attempts);
 
   install_serve_signals();
-  service::NetServerOptions nopt;
-  nopt.port = static_cast<std::uint16_t>(*f.tcp);
-  if (f.max_conns) nopt.max_connections = *f.max_conns;
-  if (f.idle_ms) nopt.idle_timeout_ms = *f.idle_ms;
-  if (f.stall_ms) nopt.write_stall_timeout_ms = *f.stall_ms;
-  if (f.dispatchers) nopt.dispatchers = *f.dispatchers;
-  if (f.dispatch_queue) nopt.dispatch_queue_cap = *f.dispatch_queue;
-  nopt.stop = &g_serve_stop;
-  service::NetServer server(router, nopt);
-  std::fprintf(stderr, "listening on %s:%u (binary frame protocol v%u)\n",
-               nopt.bind_address.c_str(), server.port(),
-               service::wire::kWireVersion);
-  server.start();
-  server.join();  // returns after SIGINT/SIGTERM drains the plane
-  std::fprintf(stderr, "final stats: %s\n", server.stats().to_json().c_str());
-  return 0;
+  return serve_tcp(router, f);
 }
 
 }  // namespace
