@@ -1,6 +1,8 @@
 // E5 — Lemma 7 distance labels: size vs hop bound f, against the
 // closed-form bound n^{f/(alpha-1+f)} and the full-BFS baseline
-// (Section 7's o(n) claim), plus a decoder-exactness spot check.
+// (Section 7's o(n) claim), plus a decoder-exactness spot check and the
+// wall time of each encode.
+#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -25,11 +27,16 @@ int main() {
   std::printf("full-BFS baseline: max %zu bits, avg %.1f bits\n",
               base_stats.max_bits, base_stats.avg_bits);
 
-  std::printf("%4s | %10s %10s %8s %6s | %12s | %9s\n", "f", "max bits",
-              "avg bits", "tau", "#fat", "lem7 bound", "exact?");
+  std::printf("%4s | %10s %10s %8s %6s | %12s | %12s | %8s\n", "f",
+              "max bits", "avg bits", "tau", "#fat", "lem7 bound", "exact?",
+              "encode_s");
   for (const std::uint64_t f : {1ull, 2ull, 3ull, 4ull, 6ull}) {
     DistanceScheme scheme(f, alpha);
+    const auto t0 = std::chrono::steady_clock::now();
     const auto enc = scheme.encode(g);
+    const double encode_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
     const auto stats = enc.labeling.stats();
 
     // Exactness audit on sampled pairs.
@@ -51,11 +58,11 @@ int main() {
         }
       }
     }
-    std::printf("%4llu | %10zu %10.1f %8llu %6zu | %12.0f | %zu/%zu ok\n",
-                static_cast<unsigned long long>(f), stats.max_bits,
-                stats.avg_bits,
-                static_cast<unsigned long long>(enc.threshold), enc.num_fat,
-                bound_distance_bits(n, alpha, f), checked - wrong, checked);
+    std::printf(
+        "%4llu | %10zu %10.1f %8llu %6zu | %12.0f | %zu/%zu ok | %8.3f\n",
+        static_cast<unsigned long long>(f), stats.max_bits, stats.avg_bits,
+        static_cast<unsigned long long>(enc.threshold), enc.num_fat,
+        bound_distance_bits(n, alpha, f), checked - wrong, checked, encode_s);
   }
   bench::note("expected: labels grow with f but stay o(n); small-f labels");
   bench::note("undercut the full table (Section 7), exactness 100%.");

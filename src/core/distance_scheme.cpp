@@ -64,19 +64,20 @@ DistanceScheme::DistanceScheme(std::uint64_t f, double alpha)
 }
 
 DistanceEncoding DistanceScheme::encode(const Graph& g) const {
+  if (f_ > kMaxHopBound) {
+    throw EncodeError("DistanceScheme: f > 254 not supported");
+  }
   const std::size_t n = g.num_vertices();
   const std::uint64_t tau = tau_distance(n, alpha_, f_);
   const std::uint64_t far = f_ + 1;  // sentinel: "more than f hops"
   const int width = id_width(n);
   const int dist_width = id_width(f_ + 2);
+  const auto hops = static_cast<std::uint32_t>(f_);
 
-  // Fat ranks.
-  std::vector<Vertex> fat_vertices;
-  std::vector<std::uint32_t> rank(n, 0);
+  std::vector<Vertex> fat_vertices;  // indexed by fat rank
   BitVector thin_mask(n);
   for (Vertex v = 0; v < n; ++v) {
     if (g.degree(v) >= tau) {
-      rank[v] = static_cast<std::uint32_t>(fat_vertices.size());
       fat_vertices.push_back(v);
     } else {
       thin_mask.set(v);
@@ -84,44 +85,45 @@ DistanceEncoding DistanceScheme::encode(const Graph& g) const {
   }
   const std::size_t k = fat_vertices.size();
 
-  // Part (i): one capped BFS per fat vertex fills everyone's column.
-  // fat_table[v * k + r] = min(d(v, fat_r), far). Stored as bytes to keep
-  // the n * k staging matrix affordable; f > 254 would need wider cells.
-  if (f_ > kMaxHopBound) {
-    throw EncodeError("DistanceScheme: f > 254 not supported");
+  // The labels are built in place, never staging the n x k distance
+  // matrix. Pass 1 lays every label out whole, with its fat table filled
+  // with the far code (64 / dist_width fields per write) and its thin-only
+  // ball (part ii) written behind it; pass 2 runs one capped BFS per fat
+  // vertex and overwrites the fields it reaches (part i). Beyond the
+  // labels the encoder holds O(n): one BFS scratch and two offsets per
+  // label.
+  const std::size_t per_chunk = 64 / static_cast<std::size_t>(dist_width);
+  std::uint64_t far_chunk = 0;
+  for (std::size_t i = 0; i < per_chunk; ++i) {
+    far_chunk |= far << (i * static_cast<std::size_t>(dist_width));
   }
-  std::vector<std::uint8_t> fat_table;
-  fat_table.assign(n * k, static_cast<std::uint8_t>(far));
-  for (std::size_t r = 0; r < k; ++r) {
-    const auto dist = bfs_distances_capped(g, fat_vertices[r],
-                                           static_cast<std::uint32_t>(f_));
-    for (Vertex v = 0; v < n; ++v) {
-      if (dist[v] != kInfDist) {
-        fat_table[static_cast<std::size_t>(v) * k + r] =
-            static_cast<std::uint8_t>(dist[v]);
-      }
-    }
-  }
-
-  std::vector<Label> labels;
-  labels.reserve(n);
+  BfsScratch bfs(n);
+  BitWriter w;  // arena: each label is copied out at exact size
+  std::vector<std::pair<Vertex, std::uint32_t>> ball;
+  std::vector<std::vector<std::uint64_t>> words(n);
+  std::vector<std::size_t> size_bits(n);
+  std::vector<std::size_t> table_at(n);  // bit offset of each fat table
+  std::uint64_t next_rank = 0;
   for (Vertex v = 0; v < n; ++v) {
-    BitWriter w;
+    w.clear();
     w.write_gamma(static_cast<std::uint64_t>(width));
     w.write_gamma0(f_);
     w.write_gamma0(k);
-    const bool fat = g.degree(v) >= tau;
+    const bool fat = !thin_mask.get(v);
     w.write_bit(fat);
     w.write_bits(v, width);
-    if (fat) w.write_gamma0(rank[v]);
-    for (std::size_t r = 0; r < k; ++r) {
-      w.write_bits(fat_table[static_cast<std::size_t>(v) * k + r],
-                   dist_width);
+    if (fat) w.write_gamma0(next_rank++);
+    table_at[v] = w.size_bits();
+    std::size_t left = k;
+    for (; left >= per_chunk; left -= per_chunk) {
+      w.write_bits(far_chunk, static_cast<int>(per_chunk) * dist_width);
     }
+    w.write_bits(far_chunk, static_cast<int>(left) * dist_width);
     if (!fat) {
-      // Part (ii): thin-only BFS ball around v.
-      auto ball = bfs_ball_masked(g, v, static_cast<std::uint32_t>(f_),
-                                  thin_mask);
+      const auto reached = bfs.run(g, v, hops, [&thin_mask](Vertex u) {
+        return thin_mask.get(u);
+      });
+      ball.assign(reached.begin() + 1, reached.end());  // drop v itself
       std::sort(ball.begin(), ball.end());
       w.write_gamma0(ball.size());
       for (const auto& [u, d] : ball) {
@@ -129,7 +131,22 @@ DistanceEncoding DistanceScheme::encode(const Graph& g) const {
         w.write_bits(d, dist_width);
       }
     }
-    labels.push_back(Label::from_writer(std::move(w)));
+    size_bits[v] = w.size_bits();
+    words[v].assign(w.words().begin(), w.words().end());
+  }
+
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::size_t field = r * static_cast<std::size_t>(dist_width);
+    for (const auto& [v, d] :
+         bfs.run(g, fat_vertices[r], hops, [](Vertex) { return true; })) {
+      deposit_bits(words[v].data(), table_at[v] + field, dist_width, d);
+    }
+  }
+
+  std::vector<Label> labels;
+  labels.reserve(n);
+  for (Vertex v = 0; v < n; ++v) {
+    labels.push_back(Label::from_words(std::move(words[v]), size_bits[v]));
   }
 
   DistanceEncoding out;

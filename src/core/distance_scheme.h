@@ -29,12 +29,12 @@
 
 namespace plg {
 
-/// Largest hop bound f the scheme encodes. The encoder stages distances
-/// (0..f plus the "far" sentinel f+1) in bytes, and both decoders
+/// Largest hop bound f the scheme encodes. Both decoders
 /// (DistanceScheme::distance, DistanceView) reject a label declaring a
 /// larger f: a forged bound would widen the table fields past the point
 /// where du + dv can wrap and the answer can be truncated. It also caps
-/// the field width at id_width(kMaxHopBound + 2) = 8 bits.
+/// the field width at id_width(kMaxHopBound + 2) = 8 bits, so distances
+/// 0..f and the "far" sentinel f+1 fit a byte.
 inline constexpr std::uint64_t kMaxHopBound = 254;
 
 struct DistanceEncoding {
@@ -52,6 +52,9 @@ class DistanceScheme {
 
   const char* name() const noexcept { return "distance(lem7)"; }
 
+  /// Labels every vertex. Serial; besides the labels themselves it holds
+  /// O(n) scratch (one reused BFS and two offsets per label), never the
+  /// n x k table of distances to fat vertices.
   DistanceEncoding encode(const Graph& g) const;
 
   /// Exact d(u, v) when d(u, v) <= f; nullopt when the distance exceeds f

@@ -8,6 +8,7 @@
 // by-value cursor, so concurrent reads of one shared Label never race.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,6 +38,18 @@ class Label {
     Label l;
     l.bits_ = bits;
     l.words_.assign(words, words + (bits + 63) / 64);
+    return l;
+  }
+
+  /// Takes ownership of a word buffer holding exactly `bits` bits in the
+  /// BitWriter layout (low word first, zero padding) — for encoders that
+  /// patch fields in place after laying a label out.
+  static Label from_words(std::vector<std::uint64_t>&& words,
+                          std::size_t bits) {
+    assert(words.size() == (bits + 63) / 64);
+    Label l;
+    l.bits_ = bits;
+    l.words_ = std::move(words);
     return l;
   }
 

@@ -12,22 +12,10 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, Vertex source) {
 std::vector<std::uint32_t> bfs_distances_capped(const Graph& g, Vertex source,
                                                 std::uint32_t max_hops) {
   std::vector<std::uint32_t> dist(g.num_vertices(), kInfDist);
-  dist[source] = 0;
-  std::vector<Vertex> frontier{source};
-  std::vector<Vertex> next;
-  std::uint32_t d = 0;
-  while (!frontier.empty() && d < max_hops) {
-    next.clear();
-    for (const Vertex u : frontier) {
-      for (const Vertex w : g.neighbors(u)) {
-        if (dist[w] == kInfDist) {
-          dist[w] = d + 1;
-          next.push_back(w);
-        }
-      }
-    }
-    frontier.swap(next);
-    ++d;
+  BfsScratch bfs(g.num_vertices());
+  for (const auto& [v, d] :
+       bfs.run(g, source, max_hops, [](Vertex) { return true; })) {
+    dist[v] = d;
   }
   return dist;
 }
@@ -35,31 +23,10 @@ std::vector<std::uint32_t> bfs_distances_capped(const Graph& g, Vertex source,
 std::vector<std::pair<Vertex, std::uint32_t>> bfs_ball_masked(
     const Graph& g, Vertex source, std::uint32_t max_hops,
     const BitVector& mask) {
-  // Sparse visited-set BFS: only touches the ball, not all n vertices.
-  std::vector<std::pair<Vertex, std::uint32_t>> out;
-  std::vector<Vertex> frontier{source};
-  std::vector<Vertex> next;
-  // Local dense visited marker; for repeated calls a caller-provided
-  // scratch buffer would avoid the O(n) allocation, but profiles show the
-  // ball sizes dominate for the graphs we target.
-  std::vector<bool> visited(g.num_vertices(), false);
-  visited[source] = true;
-  std::uint32_t d = 0;
-  while (!frontier.empty() && d < max_hops) {
-    next.clear();
-    for (const Vertex u : frontier) {
-      for (const Vertex w : g.neighbors(u)) {
-        if (!visited[w] && mask.get(w)) {
-          visited[w] = true;
-          out.emplace_back(w, d + 1);
-          next.push_back(w);
-        }
-      }
-    }
-    frontier.swap(next);
-    ++d;
-  }
-  return out;
+  BfsScratch bfs(g.num_vertices());
+  const auto ball = bfs.run(g, source, max_hops,
+                            [&mask](Vertex w) { return mask.get(w); });
+  return {ball.begin() + 1, ball.end()};
 }
 
 std::vector<std::uint32_t> connected_components(const Graph& g) {

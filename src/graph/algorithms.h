@@ -3,9 +3,11 @@
 // components, and degeneracy ordering with its acyclic orientation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -17,18 +19,63 @@ namespace plg {
 inline constexpr std::uint32_t kInfDist =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Reusable hop-capped BFS for graphs of up to `n` vertices — the one BFS
+/// loop the helpers below wrap. Visited marks are stamped with a per-run
+/// epoch instead of being cleared, so a run costs O(ball): the vertices
+/// it reaches and their edges, never O(n). Not thread-safe; give each
+/// thread its own scratch.
+class BfsScratch {
+ public:
+  explicit BfsScratch(std::size_t n) : stamp_(n, 0) {}
+
+  /// Every vertex within `max_hops` of `source` along paths whose
+  /// vertices after the source all satisfy `allowed(w)`, as (vertex,
+  /// distance) pairs in BFS order: the source first at distance 0, then
+  /// distances nondecreasing. The span is valid until the next run.
+  template <typename Allowed>
+  std::span<const std::pair<Vertex, std::uint32_t>> run(
+      const Graph& g, Vertex source, std::uint32_t max_hops,
+      Allowed&& allowed) {
+    if (++epoch_ == 0) {  // wrapped: stale stamps would alias new runs
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    reached_.clear();
+    reached_.emplace_back(source, 0);
+    stamp_[source] = epoch_;
+    // reached_ doubles as the queue: BFS order keeps distances sorted.
+    for (std::size_t head = 0; head < reached_.size(); ++head) {
+      const auto [u, d] = reached_[head];  // a copy: emplace may realloc
+      if (d >= max_hops) break;
+      for (const Vertex w : g.neighbors(u)) {
+        if (stamp_[w] != epoch_ && allowed(w)) {
+          stamp_[w] = epoch_;
+          reached_.emplace_back(w, d + 1);
+        }
+      }
+    }
+    return reached_;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::pair<Vertex, std::uint32_t>> reached_;
+};
+
 /// Single-source BFS distances over the whole graph.
 std::vector<std::uint32_t> bfs_distances(const Graph& g, Vertex source);
 
 /// BFS distances capped at `max_hops`: vertices farther than max_hops keep
-/// kInfDist. Visits only the ball, so cost is proportional to its size.
+/// kInfDist. The search visits only the ball; the O(n) cost is the
+/// returned array (and a one-run scratch).
 std::vector<std::uint32_t> bfs_distances_capped(const Graph& g, Vertex source,
                                                 std::uint32_t max_hops);
 
 /// BFS restricted to vertices allowed by `mask` (the source is always
-/// allowed); used by the distance scheme's "paths avoiding fat nodes"
-/// tables (Lemma 7 part ii). Returns (vertex, distance) pairs for every
-/// masked-in vertex within max_hops, excluding the source itself.
+/// allowed). Returns (vertex, distance) pairs for every masked-in vertex
+/// within max_hops, excluding the source itself. Callers that run many
+/// searches (the Lemma 7 encoder) use one BfsScratch instead.
 std::vector<std::pair<Vertex, std::uint32_t>> bfs_ball_masked(
     const Graph& g, Vertex source, std::uint32_t max_hops,
     const BitVector& mask);

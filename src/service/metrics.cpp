@@ -77,12 +77,13 @@ std::string NetCounters::to_json() const {
   std::snprintf(
       buf, sizeof(buf),
       "{\"accepted\":%" PRIu64 ",\"open\":%" PRIu64
-      ",\"rejected_accept\":%" PRIu64 ",\"rejected_admission\":%" PRIu64
+      ",\"rejected_accept\":%" PRIu64 ",\"accept_errors\":%" PRIu64
+      ",\"rejected_admission\":%" PRIu64
       ",\"protocol_errors\":%" PRIu64 ",\"timeouts_idle\":%" PRIu64
       ",\"timeouts_write\":%" PRIu64 ",\"frames_in\":%" PRIu64
       ",\"frames_out\":%" PRIu64 ",\"bytes_in\":%" PRIu64
       ",\"bytes_out\":%" PRIu64 "}",
-      get(accepted), get(open), get(rejected_accept),
+      get(accepted), get(open), get(rejected_accept), get(accept_errors),
       get(rejected_admission), get(protocol_errors), get(timeouts_idle),
       get(timeouts_write), get(frames_in), get(frames_out), get(bytes_in),
       get(bytes_out));

@@ -150,6 +150,7 @@ struct NetCounters {
   std::atomic<std::uint64_t> accepted{0};        ///< connections admitted
   std::atomic<std::uint64_t> open{0};            ///< connections open now
   std::atomic<std::uint64_t> rejected_accept{0};  ///< closed at accept (caps)
+  std::atomic<std::uint64_t> accept_errors{0};    ///< accept() hard errors
   std::atomic<std::uint64_t> rejected_admission{0};  ///< frames shed in-band
   std::atomic<std::uint64_t> protocol_errors{0};  ///< malformed frames
   std::atomic<std::uint64_t> timeouts_idle{0};    ///< idle-timeout closes
@@ -158,7 +159,6 @@ struct NetCounters {
   std::atomic<std::uint64_t> frames_out{0};       ///< response frames sent
   std::atomic<std::uint64_t> bytes_in{0};         ///< socket bytes read
   std::atomic<std::uint64_t> bytes_out{0};        ///< socket bytes written
-  std::atomic<std::uint64_t> accept_errors{0};    ///< accept() hard errors
 
   /// One relaxed read of the counters as a single-line JSON object.
   std::string to_json() const;

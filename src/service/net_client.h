@@ -23,12 +23,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -75,22 +77,24 @@ class NetClient {
   void set_timeout_ms(std::uint32_t ms) noexcept { timeout_ms_ = ms; }
   std::uint32_t timeout_ms() const noexcept { return timeout_ms_; }
 
-  /// Connects to host:port within the timeout budget. False on any
-  /// failure — refused, unreachable, injected `connect-fail`, or the
-  /// handshake not completing in time (a blackholed peer no longer
-  /// hangs the caller).
+  /// Connects to host:port within the timeout budget. `host` is a dotted
+  /// IPv4 address or a name (e.g. "localhost") resolved to its first IPv4
+  /// address; the name lookup is not bounded by the budget. False on any
+  /// failure — unresolvable host, refused, unreachable, injected
+  /// `connect-fail`, or the handshake not completing in time (a
+  /// blackholed peer no longer hangs the caller).
   bool connect(std::uint16_t port, const std::string& host = "127.0.0.1") {
     close();
     if (fault::should_fail_connect()) return false;
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) return false;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      close();
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 &&
+        !resolve_ipv4(host, addr.sin_addr)) {
       return false;
     }
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (fd_ < 0) return false;
     int rc;
     do {
       rc = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
@@ -225,6 +229,23 @@ class NetClient {
   }
 
  private:
+  /// The first IPv4 stream address getaddrinfo gives for `host`.
+  static bool resolve_ipv4(const std::string& host, in_addr& out) {
+    addrinfo hints{};
+    hints.ai_family = AF_INET;
+    hints.ai_socktype = SOCK_STREAM;
+    addrinfo* found = nullptr;
+    if (::getaddrinfo(host.c_str(), nullptr, &hints, &found) != 0) {
+      return false;
+    }
+    sockaddr_in sin{};
+    const bool ok = found->ai_addrlen >= sizeof(sin);
+    if (ok) std::memcpy(&sin, found->ai_addr, sizeof(sin));
+    ::freeaddrinfo(found);
+    out = sin.sin_addr;
+    return ok;
+  }
+
   std::chrono::steady_clock::time_point deadline_from_now() const {
     if (timeout_ms_ == 0) return std::chrono::steady_clock::time_point::max();
     return std::chrono::steady_clock::now() +

@@ -63,6 +63,26 @@ inline std::uint64_t extract_bits(const std::uint64_t* words,
   return value;
 }
 
+/// Overwrites the `width`-bit field starting at absolute bit `pos` of
+/// `words` with the low `width` bits of `value`: the in-place inverse of
+/// extract_bits, touching the same one or two words and no others.
+/// 1 <= width <= 64. Encoders use it to patch fields of a label already
+/// laid out by BitWriter.
+inline void deposit_bits(std::uint64_t* words, std::uint64_t pos, int width,
+                         std::uint64_t value) noexcept {
+  const std::uint64_t mask =
+      width < 64 ? (std::uint64_t{1} << width) - 1 : ~std::uint64_t{0};
+  value &= mask;
+  const std::uint64_t word = pos >> 6;
+  const int offset = static_cast<int>(pos & 63);
+  words[word] = (words[word] & ~(mask << offset)) | (value << offset);
+  if (offset + width > 64) {
+    const int placed = 64 - offset;  // 1..63: the low bits written above
+    words[word + 1] =
+        (words[word + 1] & ~(mask >> placed)) | (value >> placed);
+  }
+}
+
 /// Absolute index of the first 1-bit in [pos, end) of `words`, or `end`
 /// when the range is all zeros. Scans word-at-a-time (one load + ctz per
 /// 64 bits) instead of bit-at-a-time; bits at/after `end` inside the last

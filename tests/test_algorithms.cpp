@@ -117,6 +117,44 @@ TEST(BfsBallMasked, ExcludesSourceFromOutput) {
   for (const auto& [v, d] : ball) EXPECT_NE(v, 1u);
 }
 
+TEST(BfsScratch, ReusedRunsMatchFreshSearches) {
+  // One scratch across many sources, caps and masks must answer as
+  // Floyd–Warshall does, and as a fresh scratch (bfs_ball_masked makes
+  // one per call) does: stamps from an earlier run never leak.
+  Rng rng(47);
+  const Graph g = erdos_renyi_gnm(60, 90, rng);
+  BitVector mask(60);
+  for (std::size_t i = 0; i < 60; ++i) mask.set(i, i % 4 != 0);
+  BfsScratch bfs(60);
+  for (Vertex s = 0; s < 60; ++s) {
+    const std::uint32_t cap = s % 5;
+    const auto full = reference_distances(g, s);
+    std::vector<std::uint32_t> got(60, kInfDist);
+    std::uint32_t last = 0;
+    const auto reached =
+        bfs.run(g, s, cap, [](Vertex) { return true; });
+    ASSERT_FALSE(reached.empty());
+    EXPECT_EQ(reached[0], (std::pair<Vertex, std::uint32_t>(s, 0)));
+    for (const auto& [v, d] : reached) {
+      EXPECT_GE(d, last) << "not in BFS order";
+      last = d;
+      EXPECT_EQ(got[v], kInfDist) << v << " reported twice";
+      got[v] = d;
+    }
+    for (Vertex v = 0; v < 60; ++v) {
+      EXPECT_EQ(got[v], full[v] <= cap ? full[v] : kInfDist) << s << "->" << v;
+    }
+    auto ball = bfs_ball_masked(g, s, cap + 1, mask);
+    const auto masked = bfs.run(g, s, cap + 1,
+                                [&mask](Vertex w) { return mask.get(w); });
+    std::vector<std::pair<Vertex, std::uint32_t>> again(masked.begin() + 1,
+                                                        masked.end());
+    std::sort(ball.begin(), ball.end());
+    std::sort(again.begin(), again.end());
+    EXPECT_EQ(again, ball) << "source " << s;
+  }
+}
+
 TEST(Components, CountsAndLabels) {
   GraphBuilder b(7);
   b.add_edge(0, 1);

@@ -85,6 +85,31 @@ TEST(Bits, ExtractBitsMatchesReferenceAtEveryOffsetAndWidth) {
   }
 }
 
+TEST(Bits, DepositBitsOverwritesOnlyItsField) {
+  // Every width and many offsets, including fields that straddle a word
+  // boundary: the field reads back as the value, every other bit keeps
+  // its old state.
+  const std::uint64_t base[4] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL,
+                                 0xdeadbeefcafef00dULL, 0x5555aaaa33339999ULL};
+  const std::uint64_t value = 0xa5c3f00f96e1b44bULL;
+  for (int width = 1; width <= 64; ++width) {
+    for (std::uint64_t pos = 0; pos + width <= 256; pos += 5) {
+      std::uint64_t words[4] = {base[0], base[1], base[2], base[3]};
+      deposit_bits(words, pos, width, value);
+      const std::uint64_t mask =
+          width < 64 ? (std::uint64_t{1} << width) - 1 : ~std::uint64_t{0};
+      ASSERT_EQ(extract_bits(words, pos, width), value & mask)
+          << "pos " << pos << " width " << width;
+      for (std::uint64_t b = 0; b < 256; ++b) {
+        if (b >= pos && b < pos + static_cast<std::uint64_t>(width)) continue;
+        ASSERT_EQ((words[b >> 6] >> (b & 63)) & 1u,
+                  (base[b >> 6] >> (b & 63)) & 1u)
+            << "bit " << b << " moved; pos " << pos << " width " << width;
+      }
+    }
+  }
+}
+
 TEST(Bits, FindSetBitScansAndRespectsEnd) {
   std::uint64_t words[3] = {0, 0, 0};
   EXPECT_EQ(find_set_bit(words, 0, 192), 192u);  // all zeros -> end

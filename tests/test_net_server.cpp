@@ -160,6 +160,19 @@ TEST(NetServer, PingStatsDeadlineRoundTrip) {
   EXPECT_EQ(resp.header.request_id, 13u);
 }
 
+TEST(NetClient, ConnectsByHostName) {
+  // "localhost" is not a dotted quad: the client resolves it (from the
+  // hosts file) instead of failing the connect outright.
+  TestServer ts;
+  NetClient c;
+  ASSERT_TRUE(c.connect(ts.port(), "localhost"));
+  bound_reads(c);
+  NetResponse resp;
+  ASSERT_TRUE(c.ping(21, resp));
+  EXPECT_EQ(resp.header.verb, Verb::kPing);
+  EXPECT_EQ(resp.header.request_id, 21u);
+}
+
 TEST(NetServer, AdjacencyBatchMatchesDirectEngine) {
   TestServer ts;
   NetClient c;
@@ -706,6 +719,7 @@ TEST(NetCounters, JsonShapeCarriesEveryConnectionPlaneField) {
   NetCounters net;
   net.accepted.store(3);
   net.rejected_accept.store(1);
+  net.accept_errors.store(8);
   net.rejected_admission.store(2);
   net.protocol_errors.store(4);
   net.timeouts_idle.store(5);
@@ -718,7 +732,8 @@ TEST(NetCounters, JsonShapeCarriesEveryConnectionPlaneField) {
 
   EXPECT_EQ(net.to_json(),
             "{\"accepted\":3,\"open\":9,"
-            "\"rejected_accept\":1,\"rejected_admission\":2,"
+            "\"rejected_accept\":1,\"accept_errors\":8,"
+            "\"rejected_admission\":2,"
             "\"protocol_errors\":4,\"timeouts_idle\":5,"
             "\"timeouts_write\":6,\"frames_in\":70,"
             "\"frames_out\":71,\"bytes_in\":1000,"
