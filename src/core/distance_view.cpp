@@ -11,69 +11,70 @@ namespace plg {
 
 namespace {
 
-/// Per-field "value <= j" over fields whose bit b sits in planes[b] at
-/// the field's lowest bit: one bit per lane of `lanes`, set where the
-/// field is at most j. An MSB-first compare against the constant j.
-std::uint64_t le_mask(const std::uint64_t* planes, int dw,
-                      std::uint64_t lanes, std::uint64_t j) noexcept {
-  std::uint64_t lt = 0;
-  std::uint64_t eq = lanes;
-  for (int b = dw - 1; b >= 0; --b) {
-    if (((j >> b) & 1) != 0) {
-      lt |= eq & ~planes[b];
-      eq &= planes[b];
-    } else {
-      eq &= ~planes[b];
-    }
-  }
-  return lt | eq;
-}
-
 /// min(far, min over ranks r with du, dv < far of du + dv) for two
 /// complete fat tables of k dw-bit fields at absolute bit offsets ta
-/// and tb. Word-parallel: each step loads floor(64 / dw) fields of both
-/// tables and looks for the smallest t below the best so far for which
-/// some field has du <= j and dv <= t - j (that is, du + dv <= t; both
-/// are then <= f < far, so the oracle's "< far" filter holds too).
-/// Requires f <= kPlaneJoinMaxF, so dw <= 4 and t < far <= 8.
-std::uint64_t join_planes(const std::uint64_t* wa, std::uint64_t ta,
+/// and tb, by lane sums. Each step loads floor(64 / dw) fields of both
+/// tables and splits each load into its even and odd fields, one per
+/// lane of 2 * dw bits; adding the two tables' lanes gives every du + dv
+/// without a carry out of its lane (the sums are below 2^(dw + 1)). The
+/// best so far then steps down while some valid lane is below it. A sum
+/// with a field >= far is >= far >= best, so the oracle's "< far" filter
+/// needs no test of its own. Exact for every dw <= 8, that is every
+/// f <= kMaxHopBound (see below()).
+std::uint64_t join_tables(const std::uint64_t* wa, std::uint64_t ta,
                           const std::uint64_t* wb, std::uint64_t tb,
                           std::uint64_t k, int dw,
                           std::uint64_t far) noexcept {
   const auto udw = static_cast<std::uint64_t>(dw);
-  const std::uint64_t per = 64 / udw;
-  std::uint64_t lows = 0;  // 1 at each field's lowest bit
-  for (std::uint64_t i = 0; i < per; ++i) {
-    lows |= std::uint64_t{1} << (i * udw);
+  const std::uint64_t lane = 2 * udw;
+  const std::uint64_t per = 64 / udw;  // fields per load
+  std::uint64_t ones = 0;  // 1 at the bottom of each lane
+  for (std::uint64_t at = 0; at < 64; at += lane) {
+    ones |= std::uint64_t{1} << at;
   }
+  const std::uint64_t fields_mask = ones * ((std::uint64_t{1} << udw) - 1);
+  // The top bits of the first `lanes` lanes. At dw = 3 and dw = 7 the
+  // word cuts the last lane short; bit 63 still leaves it dw + 1 bits,
+  // room for any sum.
+  const auto tops = [lane](std::uint64_t lanes) {
+    std::uint64_t h = 0;
+    for (std::uint64_t j = 0; j < lanes; ++j) {
+      h |= std::uint64_t{1} << std::min<std::uint64_t>((j + 1) * lane - 1, 63);
+    }
+    return h;
+  };
+  // Nonzero iff some lane of x with its top bit in h is below n (the
+  // has-less test). For n <= 2^(lane bits - 1) the lowest lane below n
+  // borrows into its top bit, which is clear in x; a lane >= n borrows
+  // nothing and sets its top bit only where x has it set. Lanes above
+  // the lowest borrowing one may read wrong, which leaves "some" exact.
+  // Here n <= far < 2^dw, and even a cut lane has dw + 1 bits.
+  const auto below = [ones](std::uint64_t x, std::uint64_t n,
+                             std::uint64_t h) {
+    return (x - ones * n) & ~x & h;
+  };
   std::uint64_t best = far;
-  for (std::uint64_t r = 0; r < k && best > 0; r += per) {
-    const std::uint64_t fields = std::min(per, k - r);
+  const auto fold = [&](std::uint64_t r, std::uint64_t fields,
+                        std::uint64_t h_even, std::uint64_t h_odd) {
     const int bits = static_cast<int>(fields * udw);
-    const std::uint64_t lanes =
-        bits == 64 ? lows : lows & ((std::uint64_t{1} << bits) - 1);
     const std::uint64_t ca = extract_bits(wa, ta + r * udw, bits);
     const std::uint64_t cb = extract_bits(wb, tb + r * udw, bits);
-    std::uint64_t pa[4];
-    std::uint64_t pb[4];
-    for (int b = 0; b < dw; ++b) {
-      pa[b] = (ca >> b) & lanes;
-      pb[b] = (cb >> b) & lanes;
+    const std::uint64_t even = (ca & fields_mask) + (cb & fields_mask);
+    const std::uint64_t odd =
+        ((ca >> udw) & fields_mask) + ((cb >> udw) & fields_mask);
+    while (best > 0 &&
+           (below(even, best, h_even) | below(odd, best, h_odd)) != 0) {
+      --best;
     }
-    std::uint64_t la[8];
-    std::uint64_t lb[8];
-    for (std::uint64_t j = 0; j < best; ++j) {
-      la[j] = le_mask(pa, dw, lanes, j);
-      lb[j] = le_mask(pb, dw, lanes, j);
-    }
-    for (std::uint64_t t = 0; t < best; ++t) {
-      std::uint64_t hit = 0;
-      for (std::uint64_t j = 0; j <= t; ++j) hit |= la[j] & lb[t - j];
-      if (hit != 0) {
-        best = t;
-        break;
-      }
-    }
+  };
+  const std::uint64_t h_even = tops((per + 1) / 2);
+  const std::uint64_t h_odd = tops(per / 2);
+  std::uint64_t r = 0;
+  for (; r + per <= k && best > 0; r += per) fold(r, per, h_even, h_odd);
+  if (r < k && best > 0) {
+    // The partial last load: lanes past its fields read 0 and are masked.
+    const std::uint64_t fields = k - r;
+    fold(r, fields, tops((fields + 1) / 2), tops(fields / 2));
   }
   return best;
 }
@@ -103,7 +104,6 @@ DistanceView DistanceView::parse(const std::uint64_t* words,
   // Everything below is precomputation, not validation: the oracle
   // parses these labels too and fails (or not) only when it reads past
   // the end. The divided forms cannot overflow on forged counts.
-  if (v.f_ > kPlaneJoinMaxF) return v;  // outside the join's range
   const std::uint64_t dw = v.dist_width_;
   if (v.k_ > (c.end - v.table_) / dw) return v;  // table overruns the label
   if (v.fat_) {
@@ -161,7 +161,7 @@ std::optional<std::uint32_t> distance_view(const DistanceView& a,
                                            static_cast<std::uint64_t>(dw),
                                        dw));
   } else {
-    best = join_planes(a.words_, a.table_, b.words_, b.table_, a.k_, dw,
+    best = join_tables(a.words_, a.table_, b.words_, b.table_, a.k_, dw,
                        far);
     best = std::min(best, a.scan_ball(b.id_, far));
     best = std::min(best, b.scan_ball(a.id_, far));

@@ -19,24 +19,25 @@
 //     fat x any  — one extract_bits at table + rank * dw in the other
 //       label's table;
 //     thin x thin — a word-parallel join of the two fat tables: each
-//       load covers floor(64 / dw) fields, per-field "<= j" masks are
-//       built from the fields' bit-planes, and the join's result is the
-//       smallest t <= f for which some du + dv <= t. The two thin balls
-//       are then scanned like the oracle's scan_thin, with its early exit
-//       on the first id past the target, so an unsorted ball answers as
-//       the oracle does.
+//       load covers floor(64 / dw) fields of each table, its even and
+//       odd fields go to lanes of 2 * dw bits, one add per word forms
+//       every du + dv at once, and a has-less test per word lowers the
+//       best sum found so far. The two thin balls are then scanned like
+//       the oracle's scan_thin, with its early exit on the first id past
+//       the target, so an unsorted ball answers as the oracle does.
 //
 // Equivalence contract (differentially fuzzed in
 // tests/test_distance_view.cpp): parse() throws DecodeError exactly when
 // the oracle's header parse throws, with the same message, and for two
 // complete() views distance_view() returns exactly what
 // DistanceScheme::distance returns on the same bits, or throws what it
-// throws. A view is complete when f <= kPlaneJoinMaxF, its fat table
-// and (thin) ball fit inside the label and (fat) its rank indexes the
-// table: the join's range, and exactly the conditions under which the
-// oracle's reads cannot run off the label. Callers answer pairs with an
-// incomplete view through the oracle; for encoder output that is only a
-// scheme built with f > kPlaneJoinMaxF.
+// throws. A view is complete when its fat table and (thin) ball fit
+// inside the label and (fat) its rank indexes the table: exactly the
+// conditions under which the oracle's reads cannot run off the label.
+// The join is exact for every hop bound the header admits (f <=
+// kMaxHopBound, so fields of at most 8 bits), so encoder output is
+// always complete; callers answer pairs with an incomplete view — a
+// corrupt label — through the oracle.
 //
 // Ownership: like LabelView, a DistanceView aliases the words it was
 // parsed from and owns nothing; it is a POD that any number of threads
@@ -50,11 +51,6 @@
 #include "util/lifetime.h"
 
 namespace plg {
-
-/// Largest hop bound the views answer (the bit-plane join's range: 4-bit
-/// fields, O(f^2) mask work per word). Labels with a larger f parse but
-/// are never complete, so their pairs go to DistanceScheme::distance.
-inline constexpr std::uint64_t kPlaneJoinMaxF = 7;
 
 // A borrow: views alias the buffer they were parsed from and must be
 // stored next to something that owns it (util/lifetime.h).

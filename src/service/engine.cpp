@@ -184,6 +184,13 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
   const bool timed = ctl.deadline.has_value();
   const auto t0 = std::chrono::steady_clock::now();
   auto t1 = t0;
+  // A Lemma 7 thin x thin query reads two whole fat tables, so the
+  // labels of the query two ahead are requested now and load while the
+  // two joins in between run. Adjacency plans read a word or two; a
+  // prefetch for them measured no gain, so their loop only tests the
+  // hoisted flag.
+  const bool prefetch = opt_.kind == QueryKind::kDistance;
+  const std::uint64_t n = snap.size();
   std::size_t k = 0;
   for (; k < count; ++k) {
     if (timed) {
@@ -191,6 +198,13 @@ void QueryService::run_chunk(unsigned worker, const Snapshot& snap,
       if (ctl.cancelled.load(std::memory_order_relaxed) ||
           t1 >= *ctl.deadline) {
         break;
+      }
+    }
+    if (prefetch && k + 2 < count) {
+      const QueryRequest& ahead = reqs[order[k + 2]];
+      if (ahead.u < n && ahead.v < n) {
+        snap.prefetch_label(ahead.u);
+        snap.prefetch_label(ahead.v);
       }
     }
     const std::uint32_t i = order[k];
@@ -253,7 +267,7 @@ QueryResult QueryService::answer(const Snapshot& snap, const QueryRequest& q,
     // Fast paths answer straight from the snapshot's bits — no label
     // materialization. Each falls through to the reference path below
     // whenever an endpoint's shard is quarantined or failed its lazy CRC,
-    // or its plan is unusable (a corrupt label, or f > kPlaneJoinMaxF).
+    // or its plan is unusable (a corrupt label).
     // Equivalence with the reference decoders — answers and DecodeErrors
     // both — is differentially fuzzed in tests/test_label_view.cpp and
     // tests/test_distance_view.cpp.
@@ -292,8 +306,7 @@ QueryResult QueryService::answer(const Snapshot& snap, const QueryRequest& q,
       }
     }
     // Reference path: both labels materialized, then the reference
-    // decoder. It serves CRC-failed shards, corrupt labels and Lemma 7
-    // labels with f > kPlaneJoinMaxF.
+    // decoder. It serves CRC-failed shards and corrupt labels.
     if (opt_.spot_check) check_label(snap, q.u);
     const Label la = snap.get(q.u);
     blame = q.v;

@@ -6,8 +6,9 @@
 // engine exploits exactly that: a batch is split into fixed-size chunks,
 // chunks are dealt round-robin onto per-worker queues, and each worker
 // answers its chunk against an immutable Snapshot with zero cross-worker
-// communication. The only synchronization in a batch is one atomic
-// shared_ptr acquire at the start and one latch at the end.
+// communication. The only synchronization in a batch is one snapshot
+// acquire at the start (a shared lock on SnapshotStore held for a
+// pointer copy) and one latch at the end.
 //
 // Consistency model: query_batch() acquires the current snapshot once and
 // answers the whole batch from it. A reload() mid-batch affects only

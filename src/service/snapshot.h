@@ -179,6 +179,29 @@ class Snapshot {
     return {sh.store->shard_bits(sh.index), off[i], off[i + 1] - off[i]};
   }
 
+  /// Asks the cache for every line of label v's bits ahead of a query
+  /// that will read them (the engine's distance loop, two queries
+  /// ahead). The extent comes from the offsets table validated at
+  /// admission. A hint only: it reads no label bit, never runs the lazy
+  /// CRC (the query itself does, before any answer), draws no fault,
+  /// and does nothing on a quarantined shard. Precondition: v < size().
+  // plglint: noexcept-hot-path
+  void prefetch_label(std::uint64_t v) const noexcept {
+    const Shard& sh = shards_[map_.shard_of(v)];
+    if (!sh.healthy()) return;
+    const std::uint64_t* off = sh.store->shard_offsets(sh.index);
+    const auto i = static_cast<std::size_t>(map_.index_in_shard(v));
+    if (off[i + 1] == off[i]) return;
+    const std::uint64_t* words = sh.store->shard_bits(sh.index);
+    const std::uint64_t last = (off[i + 1] - 1) >> 6;  // word index
+    // One hint per 8 words reaches every line up to last's or the one
+    // before it, whatever the alignment; last covers the rest.
+    for (std::uint64_t w = off[i] >> 6; w < last; w += 8) {
+      __builtin_prefetch(words + w);
+    }
+    __builtin_prefetch(words + last);
+  }
+
   /// Re-derives v's stored spot checksum. False means the shard's bits
   /// rotted *after* admission (or the encoder lied); the engine counts
   /// these as corruption fallbacks. Precondition as for get().

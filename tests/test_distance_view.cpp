@@ -13,11 +13,12 @@
 //     sends it — so the served answer always equals the oracle's.
 //
 // Healthy labels exercise the fast paths (one extract for fat x any, the
-// bit-plane join plus ball scans for thin x thin). Corrupted labels —
+// lane-sum join plus ball scans for thin x thin). Corrupted labels —
 // bit flips and truncations from the fault-injection FaultPlan — reach
 // the rejections and the corrupt-but-complete labels whose tables hold
 // values the encoder never writes. Under ASan/UBSan the suite shows the
 // join's unchecked word loads never leave a label's words.
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -372,10 +373,10 @@ TEST(DistanceView, RankPastTableFallsBackToOracle) {
 
 // Table lengths that leave a partial last word (and a few that do not),
 // at every join width: 1-bit fields (f = 0, never encoded but parseable),
-// 2 (f = 2), 3 (f = 3) and 4 (f = 7, kPlaneJoinMaxF). Above it (f = 9,
-// f = 254) the views are incomplete and the oracle answers. The only
-// pair within f is placed in the last field, so a join that drops the
-// tail answers wrong.
+// 2 (f = 2), 3 (f = 3), 4 (f = 7, f = 9), 5 (f = 15), 6 (f = 40), 7
+// (f = 100) and 8 (f = 254, kMaxHopBound). The views answer every one.
+// The only pair within f is placed in the last field, so a join that
+// drops the tail answers wrong.
 TEST(DistanceView, PartialTailWordJoin) {
   struct Case {
     std::uint64_t f;
@@ -387,6 +388,9 @@ TEST(DistanceView, PartialTailWordJoin) {
       {3, {1, 20, 21, 22, 25, 42, 43, 64}},
       {7, {1, 15, 16, 17, 33}},
       {9, {1, 16, 17, 40}},
+      {15, {1, 11, 12, 13, 25}},
+      {40, {1, 9, 10, 11, 21}},
+      {100, {1, 8, 9, 10, 19}},
       {254, {1, 7, 8, 9, 23}},
   };
   Rng rng(stream_rng(0x7a11, 0));
@@ -401,7 +405,7 @@ TEST(DistanceView, PartialTailWordJoin) {
       b.table.back() = 0;
       bool fast = false;
       const Outcome got = view_distance(build(a), build(b), &fast);
-      EXPECT_EQ(fast, c.f <= kPlaneJoinMaxF) << "f=" << c.f;
+      EXPECT_TRUE(fast) << "f=" << c.f;
       ASSERT_EQ(got, oracle_distance(build(a), build(b)))
           << "f=" << c.f << " k=" << k;
       ASSERT_EQ(got.answer, std::optional<std::uint32_t>(a.table.back()))
@@ -425,6 +429,67 @@ TEST(DistanceView, PartialTailWordJoin) {
       }
     }
   }
+}
+
+// The thin x thin join against a naive per-field min, at every field
+// width dw = 1..8 (f from 0 to kMaxHopBound): random id widths put the
+// tables at every bit offset, k runs from 1 past three loads (so most k
+// are no multiple of the lane count), and fields take every value the
+// width holds, those above far included. The balls are empty, so the
+// answer is the join's alone.
+TEST(DistanceView, LaneSumJoinMatchesNaiveMin) {
+  Rng rng(stream_rng(0x5a3a, 0));
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (int dw = 1; dw <= 8; ++dw) {
+    // The hop bounds whose fields are dw bits wide: id_width(f + 2) == dw.
+    const std::uint64_t f_hi = (std::uint64_t{1} << dw) - 2;
+    const std::uint64_t f_lo = (std::uint64_t{1} << (dw - 1)) - 1;
+    const std::uint64_t per = 64 / static_cast<std::uint64_t>(dw);
+    for (int rep = 0; rep < 600; ++rep) {
+      const std::uint64_t f =
+          rep % 3 == 0 ? f_hi : f_lo + rng.next_below(f_hi - f_lo + 1);
+      ASSERT_EQ(id_width(f + 2), dw);
+      const std::uint64_t far = f + 1;
+      const std::uint64_t k =
+          rep % 7 == 0 ? 1 : 1 + rng.next_below(3 * per + 2);
+      const int width = 1 + static_cast<int>(rng.next_below(32));
+      const std::uint64_t top = (std::uint64_t{1} << dw) - 1;
+      Spec a{.width = width, .id = 0, .f = f};
+      Spec b{.width = width, .id = 1, .f = f};
+      // Mostly far or above, with a few small values so sums below far
+      // land anywhere in the table, tail word included.
+      const std::uint64_t small = 1 + rng.next_below(3);
+      for (Spec* s : {&a, &b}) {
+        s->table.resize(k);
+        for (std::uint64_t& d : s->table) {
+          const std::uint64_t pick = rng.next_below(8);
+          d = pick < small ? rng.next_below(far)
+                           : far + rng.next_below(top - far + 1);
+        }
+      }
+      std::uint64_t best = far;
+      for (std::uint64_t r = 0; r < k; ++r) {
+        const std::uint64_t du = a.table[r];
+        const std::uint64_t dv = b.table[r];
+        if (du < far && dv < far) best = std::min(best, du + dv);
+      }
+      const std::optional<std::uint32_t> naive =
+          best <= f ? std::optional<std::uint32_t>(best) : std::nullopt;
+      const Label la = build(a);
+      const Label lb = build(b);
+      bool fast = false;
+      const Outcome got = view_distance(la, lb, &fast);
+      ASSERT_TRUE(fast);
+      ASSERT_EQ(got, (Outcome{false, naive, ""}))
+          << "dw=" << dw << " f=" << f << " k=" << k << " width=" << width;
+      ASSERT_EQ(got, oracle_distance(la, lb));
+      ++(naive ? hits : misses);
+    }
+  }
+  // Both within-f answers and beyond-f answers were exercised.
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(misses, 500u);
 }
 
 // Field values the encoder never writes (above the "far" sentinel f + 1)

@@ -448,11 +448,11 @@ TEST(QueryService, DistanceCrcFailureIsChargedToTheFailingShard) {
   std::remove(path.c_str());
 }
 
-// Lemma 7 labels with f > kPlaneJoinMaxF have no complete DistanceView, so
-// every query takes the reference path: both labels materialized, then
-// DistanceScheme::distance. Served from an in-memory snapshot and from a
-// mapped v3 store, with and without spot checks.
-TEST(QueryService, DistanceAboveJoinBoundAnswersFromReferenceDecoder) {
+// Lemma 7 labels with a larger hop bound than the benchmark's (f = 9,
+// 4-bit table fields) answer from DistanceViews too: every query is a
+// view hit and equals DistanceScheme::distance. Served from an in-memory
+// snapshot and from a mapped v3 store, with and without spot checks.
+TEST(QueryService, DistanceLargeHopBoundAnswersFromViews) {
   const Graph g = test_graph(300);
   const auto enc = DistanceScheme(9, 2.5).encode(g);
   const std::string path = write_distance_store(enc, "dist_f9.plgl", 4);
@@ -486,11 +486,67 @@ TEST(QueryService, DistanceAboveJoinBoundAnswersFromReferenceDecoder) {
       }
       const ServiceStats stats = svc.stats();
       EXPECT_EQ(stats.queries, batch.size());
-      EXPECT_EQ(stats.view_hits, 0u);
+      EXPECT_EQ(stats.view_hits, stats.queries);
       EXPECT_EQ(stats.corruptions, 0u);
     }
   }
   EXPECT_GT(within, 4 * batch.size() / 2);  // the self pairs and more
+  std::remove(path.c_str());
+}
+
+// Batches shorter than the distance loop's prefetch distance (two
+// queries ahead), with out-of-range ids at every position of the
+// window: every batch of 1, 2 and 3 queries drawn from one in-range
+// pair and three out-of-range ones, at chunk sizes 1 to 3, on an
+// in-memory and a mapped snapshot. Out-of-range queries answer
+// kOutOfRange and the rest the oracle's distance, wherever they sit.
+TEST(QueryService, DistanceShortBatchesWithOutOfRangeIdsInPrefetchWindow) {
+  const Graph g = test_graph(300, 121);
+  const auto enc = DistanceScheme(2, 2.5).encode(g);
+  const std::string path = write_distance_store(enc, "dist_window.plgl", 3);
+  const std::uint64_t n = g.num_vertices();
+  const QueryRequest pool[] = {
+      {5, 17}, {n, 0}, {0, n + 3}, {~std::uint64_t{0}, ~std::uint64_t{0}}};
+  const auto expect = [&](const QueryRequest& q, const QueryResult& r) {
+    if (q.u >= n || q.v >= n) {
+      EXPECT_EQ(r.status, QueryStatus::kOutOfRange);
+      return;
+    }
+    ASSERT_EQ(r.status, QueryStatus::kOk);
+    const auto oracle = DistanceScheme::distance(
+        enc.labeling[static_cast<Vertex>(q.u)],
+        enc.labeling[static_cast<Vertex>(q.v)]);
+    EXPECT_EQ(r.distance, oracle ? static_cast<std::int64_t>(*oracle) : -1);
+  };
+  for (const bool mapped : {false, true}) {
+    for (std::size_t chunk = 1; chunk <= 3; ++chunk) {
+      QueryService svc(mapped ? Snapshot::from_file(path, 3)
+                              : Snapshot::build(enc.labeling, 3),
+                       {.threads = 1,
+                        .chunk = chunk,
+                        .kind = QueryKind::kDistance});
+      std::size_t in_range = 0;
+      for (std::size_t len = 1; len <= 3; ++len) {
+        std::size_t combos = 1;
+        for (std::size_t i = 0; i < len; ++i) combos *= 4;
+        for (std::size_t c = 0; c < combos; ++c) {
+          std::vector<QueryRequest> batch;
+          for (std::size_t i = 0, x = c; i < len; ++i, x /= 4) {
+            batch.push_back(pool[x % 4]);
+          }
+          const auto results = svc.query_batch(batch);
+          ASSERT_EQ(results.size(), len);
+          for (std::size_t i = 0; i < len; ++i) {
+            expect(batch[i], results[i]);
+            in_range += batch[i].u < n && batch[i].v < n ? 1u : 0u;
+          }
+        }
+      }
+      const ServiceStats stats = svc.stats();
+      EXPECT_EQ(stats.view_hits, in_range) << "mapped=" << mapped;
+      EXPECT_EQ(stats.corruptions, 0u);
+    }
+  }
   std::remove(path.c_str());
 }
 

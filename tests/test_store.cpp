@@ -487,6 +487,43 @@ TEST(SnapshotMappedAdmission, StructurallyBadShardQuarantinesOrThrows) {
   EXPECT_FALSE(snap->shard_quarantined(1));
 }
 
+// prefetch_label is a cache hint and nothing else: it runs no lazy CRC
+// (every shard of a freshly mapped snapshot stays unverified however many
+// labels it touches) and does nothing on a quarantined shard, whose store
+// and offsets table are gone.
+TEST(SnapshotMappedAdmission, PrefetchLabelRunsNoCrcAndSkipsQuarantine) {
+  const Graph g = store_graph(300, 117);
+  const std::string path = temp_path("v3_prefetch.plgl");
+  StoreWriter::write_file(path, encode_labels(g), 3);
+
+  {
+    const auto snap = Snapshot::from_file(path, 3);
+    for (std::uint64_t v = 0; v < snap->size(); ++v) snap->prefetch_label(v);
+    for (std::size_t s = 0; s < snap->num_shards(); ++s) {
+      EXPECT_EQ(snap->shard_crc_state(s), ShardCrcState::kUnverified)
+          << "s=" << s;
+    }
+  }  // unmapped before the file is rewritten
+
+  // The structurally bad shard of the test above: quarantined at
+  // admission, so its labels have no extent to hint.
+  std::vector<std::uint8_t> bytes = read_file(path);
+  bytes[static_cast<std::size_t>(store::kHeaderBytes +
+                                 3 * store::kDirEntryBytes)] = 1;
+  write_file_bytes(path, bytes);
+  const auto bad = Snapshot::from_file(path, 3, StoreVerify::kStrict,
+                                       /*allow_quarantine=*/true);
+  ASSERT_TRUE(bad->shard_quarantined(0));
+  for (std::uint64_t v = 0; v < bad->size(); ++v) bad->prefetch_label(v);
+  EXPECT_TRUE(bad->shard_quarantined(0));
+  EXPECT_EQ(bad->num_quarantined(), 1u);
+  for (std::size_t s = 0; s < bad->num_shards(); ++s) {
+    EXPECT_EQ(bad->shard_crc_state(s), ShardCrcState::kUnverified)
+        << "s=" << s;
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------- parallel admission parity
 
 /// Asserts two snapshots are observably identical: same labels, same
