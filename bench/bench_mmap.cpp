@@ -24,7 +24,9 @@
 //   5. emit BENCH_mmap.json for CI's perf-regression gate
 //      (tools/bench_check.py): admission.speedup and query.ratio are
 //      the two acceptance metrics (mmap admission much faster, mmap
-//      query throughput within a few percent of heap).
+//      query throughput within a few percent of heap). write.v3_s, the
+//      StoreWriter::write_file time of step 2, is informational and
+//      not gated.
 //
 // Usage: bench_mmap [n] [avg_deg] [queries] [shards] [reps] [tau]
 //   defaults:        4194304  8.0   2000000   64      3      avg_deg+4
@@ -136,9 +138,9 @@ int main(int argc, char** argv) {
   const auto t_w1 = Clock::now();
   store::StoreWriter::write_file(v3_path, enc.labeling, num_shards);
   const auto t_w2 = Clock::now();
+  const double write_v3_s = seconds_between(t_w1, t_w2);
   std::printf("  wrote v2 in %.2fs, v3 (%zu shards) in %.2fs\n",
-              seconds_between(t_w0, t_w1), num_shards,
-              seconds_between(t_w1, t_w2));
+              seconds_between(t_w0, t_w1), num_shards, write_v3_s);
 
   // --- admission: v2 heap load vs v3 mmap -----------------------------
   const auto t_h0 = Clock::now();
@@ -262,12 +264,14 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "{\"bench\":\"mmap\",%s,\"queries\":%zu,\"shards\":%zu,"
+        "\"write\":{\"v3_s\":%.3f},"
         "\"admission\":{\"heap_s\":%.3f,\"mmap_s\":%.4f,\"speedup\":%.1f},"
         "\"query\":{\"heap_qps\":%.0f,\"mmap_qps\":%.0f,\"ratio\":%.3f,"
         "\"heap_p50_ns\":%.1f,\"heap_p99_ns\":%.1f,\"mmap_p50_ns\":%.1f,"
         "\"mmap_p99_ns\":%.1f,\"positives\":%" PRIu64
         ",\"oracle_checked\":%zu}}\n",
-        bench::workload_json(wl).c_str(), queries.size(), num_shards, heap_s,
+        bench::workload_json(wl).c_str(), queries.size(), num_shards,
+        write_v3_s, heap_s,
         mmap_s, admit_speedup, qps_heap, qps_mmap, ratio, lat_heap.p50(),
         lat_heap.p99(), lat_mmap.p50(), lat_mmap.p99(), pos_mmap, oracle_n);
     std::fclose(f);

@@ -11,6 +11,12 @@
 // kCorrupt in-band — a loud, testable signal rather than silent wrong
 // answers. The space cost of the empty slots is a few directory bytes
 // per vertex, negligible next to the replicated label payload.
+//
+// No label is copied per node: each file is written straight from the
+// shared labeling through StoreWriter's label source, which returns the
+// owned label itself and nullptr (a 0-bit label) for every slot the node
+// does not own, looked up in a per-key-shard ownership table built once
+// from cfg.preference_lists().
 #pragma once
 
 #include <cstdint>

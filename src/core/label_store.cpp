@@ -48,35 +48,34 @@ T read_at(const std::vector<std::uint8_t>& blob, std::size_t& pos) {
   return value;
 }
 
-void pack_labels(const Labeling& labeling, BitWriter& packed) {
+/// Appends the packed-bits section of v1/v2: every label back to back,
+/// each one masked at its tail word by append_bits.
+void append_packed_bits(std::vector<std::uint8_t>& out,
+                        const Labeling& labeling, std::uint64_t total_bits) {
+  const std::size_t at = out.size();
+  out.resize(at + words_for_bits(total_bits) * sizeof(std::uint64_t));
+  std::uint64_t pos = 0;
   for (const Label& l : labeling.labels()) {
-    BitReader r = l.reader();
-    std::size_t remaining = l.size_bits();
-    while (remaining > 0) {
-      const int chunk = static_cast<int>(std::min<std::size_t>(64, remaining));
-      packed.write_bits(r.read_bits(chunk), chunk);
-      remaining -= static_cast<std::size_t>(chunk);
-    }
+    append_bits(out.data() + at, pos, l.words().data(), l.size_bits());
+    pos += l.size_bits();
   }
 }
 
 }  // namespace
 
-// Canonicalizing through a reader loop makes the sum independent of any
-// stale bits past size_bits in the source buffer.
+// CRCs the label's own words with the tail word masked, so stale bits
+// past size_bits in the source buffer never change the sum.
 std::uint8_t label_spot_checksum(const Label& l) {
-  BitWriter canon;
-  BitReader r = l.reader();
-  std::size_t remaining = l.size_bits();
-  while (remaining > 0) {
-    const int chunk = static_cast<int>(std::min<std::size_t>(64, remaining));
-    canon.write_bits(r.read_bits(chunk), chunk);
-    remaining -= static_cast<std::size_t>(chunk);
-  }
   const std::uint64_t bits = l.size_bits();
+  const std::uint64_t* words = l.words().data();
+  const std::size_t whole = bits / 64;
   std::uint32_t crc = crc32c(&bits, sizeof(bits));
-  crc = crc32c(canon.words().data(),
-               canon.words().size() * sizeof(std::uint64_t), crc);
+  crc = crc32c(words, whole * sizeof(std::uint64_t), crc);
+  if (bits % 64 != 0) {
+    const std::uint64_t tail =
+        words[whole] & ((std::uint64_t{1} << (bits % 64)) - 1);
+    crc = crc32c(&tail, sizeof(tail), crc);
+  }
   return static_cast<std::uint8_t>(crc ^ (crc >> 8) ^ (crc >> 16) ^
                                    (crc >> 24));
 }
@@ -110,9 +109,7 @@ std::vector<std::uint8_t> LabelStore::serialize(const Labeling& labeling) {
   for (const Label& l : labeling.labels()) append(out, label_spot_checksum(l));
 
   const std::size_t bits_start = out.size();
-  BitWriter packed;
-  pack_labels(labeling, packed);
-  for (const std::uint64_t w : packed.words()) append(out, w);
+  append_packed_bits(out, labeling, total_bits);
 
   poke(out, kHeaderCrcAt, crc32c(out.data(), kHeaderBytes));
   poke(out, kOffsetsCrcAt,
@@ -135,9 +132,7 @@ std::vector<std::uint8_t> LabelStore::serialize_v1(const Labeling& labeling) {
     offset += l.size_bits();
     append(out, offset);
   }
-  BitWriter packed;
-  pack_labels(labeling, packed);
-  for (const std::uint64_t w : packed.words()) append(out, w);
+  append_packed_bits(out, labeling, offset);
   return out;
 }
 

@@ -67,9 +67,9 @@ struct StoreCheckResult {
   std::string message;         // human-readable diagnosis
 };
 
-/// Canonical per-label spot checksum: CRC-32C over (size_bits,
-/// canonically re-packed words), folded to 8 bits. Shared by the v2
-/// store's labelsums section and the sharded v3 layout
+/// Canonical per-label spot checksum: CRC-32C over (size_bits, the
+/// label's words with the tail word masked), folded to 8 bits. Shared
+/// by the v2 store's labelsums section and the sharded v3 layout
 /// (store/store_writer.h), so the two formats agree on what "this label
 /// is intact" means and a pack migration preserves every sum.
 std::uint8_t label_spot_checksum(const Label& l);

@@ -12,6 +12,11 @@ std::vector<LabelView> build_plans(const std::uint64_t* words,
   std::vector<LabelView> plans;
   plans.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
+    // A 0-bit label never parses (a partition file's unowned slot).
+    if (offsets[i + 1] == offsets[i]) {
+      plans.push_back(LabelView());
+      continue;
+    }
     try {
       plans.push_back(
           LabelView::parse(words, offsets[i], offsets[i + 1] - offsets[i]));

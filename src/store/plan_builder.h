@@ -27,7 +27,8 @@ namespace plg::store {
 /// Builds one decode plan per label: plans[i] covers bits
 /// [offsets[i], offsets[i+1]) of `words`. A label whose header fails to
 /// parse gets an invalid placeholder (callers fall back to the
-/// materializing path), so this never throws. `offsets` holds n + 1
+/// materializing path), so this never throws; a 0-bit label gets one
+/// without a parse. `offsets` holds n + 1
 /// entries; the returned views alias `words`.
 std::vector<LabelView> build_plans(const std::uint64_t* words,
                                    const std::uint64_t* offsets,

@@ -1,6 +1,5 @@
 #include "store/store_writer.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -8,7 +7,6 @@
 #include "core/label_store.h"
 #include "store/format_v3.h"
 #include "store/shard_map.h"
-#include "util/bit_stream.h"
 #include "util/bits.h"
 #include "util/crc32.h"
 #include "util/errors.h"
@@ -19,39 +17,33 @@ namespace plg::store {
 namespace {
 
 template <typename T>
-void append(std::vector<std::uint8_t>& out, T value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
 void poke(std::vector<std::uint8_t>& out, std::size_t at, T value) {
   std::memcpy(out.data() + at, &value, sizeof(T));
 }
 
-/// Canonical re-pack of one label into `packed` (same reader loop the v2
-/// writer uses, so stale bits past size_bits never leak into the file).
-void pack_label(const Label& l, BitWriter& packed) {
-  BitReader r = l.reader();
-  std::size_t remaining = l.size_bits();
-  while (remaining > 0) {
-    const int chunk = static_cast<int>(std::min<std::size_t>(64, remaining));
-    packed.write_bits(r.read_bits(chunk), chunk);
-    remaining -= static_cast<std::size_t>(chunk);
-  }
+/// The label a source's nullptr stands for.
+const Label& or_empty(const Label* l) {
+  static const Label empty;
+  return l != nullptr ? *l : empty;
+}
+
+LabelOf every_label(const Labeling& labeling) {
+  return [&labeling](std::uint64_t v) {
+    return &labeling[static_cast<Vertex>(v)];
+  };
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> StoreWriter::serialize(const Labeling& labeling,
+std::vector<std::uint8_t> StoreWriter::serialize(std::uint64_t n,
+                                                 const LabelOf& label_of,
                                                  std::size_t num_shards) {
-  const auto n = static_cast<std::uint64_t>(labeling.size());
   const ShardMap map(n, num_shards);
   const std::size_t shards = map.num_shards();
 
   // Pass 1: directory geometry. Region offsets/lengths are a pure
-  // function of the per-shard label sizes, so the directory can be laid
-  // down before any bits are packed (CRCs patched in pass 2).
+  // function of the per-shard label sizes, so the whole blob can be
+  // sized before any bits are written (CRCs patched in pass 2).
   std::vector<ShardDirEntry> dir(shards);
   std::uint64_t total_bits = 0;
   std::uint64_t cursor = kHeaderBytes + kDirEntryBytes * shards;
@@ -59,7 +51,7 @@ std::vector<std::uint8_t> StoreWriter::serialize(const Labeling& labeling,
     ShardDirEntry& e = dir[s];
     e.label_count = map.shard_size(s);
     for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s); ++v) {
-      e.total_bits += labeling[static_cast<Vertex>(v)].size_bits();
+      e.total_bits += or_empty(label_of(v)).size_bits();
     }
     e.byte_off = cursor;
     e.byte_len = shard_region_bytes(e.label_count, e.total_bits);
@@ -67,52 +59,44 @@ std::vector<std::uint8_t> StoreWriter::serialize(const Labeling& labeling,
     total_bits += e.total_bits;
   }
 
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(cursor));
-  append(out, kMagicV3);
-  append(out, kVersion3);
-  append(out, n);
-  append(out, total_bits);
-  append(out, static_cast<std::uint32_t>(shards));
-  append(out, std::uint32_t{0});  // header_crc, patched below
-  append(out, std::uint32_t{0});  // dir_crc, patched below
-  append(out, std::uint32_t{0});  // pad: directory starts 8-aligned
-  for (const ShardDirEntry& e : dir) {
-    append(out, e.byte_off);
-    append(out, e.byte_len);
-    append(out, e.label_count);
-    append(out, e.total_bits);
-    append(out, e.crc);
-    append(out, e.reserved);
+  // Zero-filled: the CRC fields, the pads and each region's last bits
+  // word are right before anything is written into them.
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(cursor));
+  poke(out, 0, kMagicV3);
+  poke(out, 4, kVersion3);
+  poke(out, 8, n);
+  poke(out, 16, total_bits);
+  poke(out, 24, static_cast<std::uint32_t>(shards));
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t at = kHeaderBytes + kDirEntryBytes * s;
+    poke(out, at, dir[s].byte_off);
+    poke(out, at + 8, dir[s].byte_len);
+    poke(out, at + 16, dir[s].label_count);
+    poke(out, at + 24, dir[s].total_bits);
   }
 
-  // Pass 2: shard regions — offsets, labelsums (zero-padded to a word
-  // boundary), packed bits — with the region CRC poked back into the
-  // directory as each shard completes.
+  // Pass 2: each shard region in place — offset, labelsum and bits of one
+  // label at a time — then the region CRC into the directory (32 bytes
+  // into the entry, after four u64 fields).
   for (std::size_t s = 0; s < shards; ++s) {
     const ShardDirEntry& e = dir[s];
-    const std::size_t region_start = out.size();
+    const auto region = static_cast<std::size_t>(e.byte_off);
+    const std::size_t sums =
+        region + static_cast<std::size_t>(sums_offset_in_region(e.label_count));
+    std::uint8_t* bits =
+        out.data() + region + bits_offset_in_region(e.label_count);
     std::uint64_t offset = 0;
-    append(out, offset);
-    for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s); ++v) {
-      offset += labeling[static_cast<Vertex>(v)].size_bits();
-      append(out, offset);
+    std::size_t i = 0;
+    for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s);
+         ++v, ++i) {
+      const Label& l = or_empty(label_of(v));
+      out[sums + i] = label_spot_checksum(l);
+      append_bits(bits, offset, l.words().data(), l.size_bits());
+      offset += l.size_bits();
+      poke(out, region + 8 * (i + 1), offset);
     }
-    for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s); ++v) {
-      append(out, label_spot_checksum(labeling[static_cast<Vertex>(v)]));
-    }
-    out.resize(region_start + static_cast<std::size_t>(
-                                  bits_offset_in_region(e.label_count)));
-    BitWriter packed;
-    for (std::uint64_t v = map.shard_begin(s); v < map.shard_end(s); ++v) {
-      pack_label(labeling[static_cast<Vertex>(v)], packed);
-    }
-    for (const std::uint64_t w : packed.words()) append(out, w);
-
-    // crc sits 32 bytes into the serialized entry (after four u64 fields).
-    const std::size_t dir_at = kHeaderBytes + kDirEntryBytes * s + 32;
-    poke(out, dir_at,
-         crc32c(out.data() + region_start, out.size() - region_start));
+    poke(out, kHeaderBytes + kDirEntryBytes * s + 32,
+         crc32c(out.data() + region, static_cast<std::size_t>(e.byte_len)));
   }
 
   poke(out, kHeaderCrcAt, crc32c(out.data(), kHeaderCrcCoverage));
@@ -121,9 +105,14 @@ std::vector<std::uint8_t> StoreWriter::serialize(const Labeling& labeling,
   return out;
 }
 
-void StoreWriter::write_file(const std::string& path, const Labeling& labeling,
-                             std::size_t num_shards) {
-  const auto blob = serialize(labeling, num_shards);
+std::vector<std::uint8_t> StoreWriter::serialize(const Labeling& labeling,
+                                                 std::size_t num_shards) {
+  return serialize(labeling.size(), every_label(labeling), num_shards);
+}
+
+void StoreWriter::write_file(const std::string& path, std::uint64_t n,
+                             const LabelOf& label_of, std::size_t num_shards) {
+  const auto blob = serialize(n, label_of, num_shards);
   std::ofstream file(path, std::ios::binary);
   if (!file) throw EncodeError("StoreWriter: cannot open " + path);
   if (fault::enabled()) {
@@ -138,6 +127,11 @@ void StoreWriter::write_file(const std::string& path, const Labeling& labeling,
   }
   file.flush();
   if (!file) throw EncodeError("StoreWriter: write failed for " + path);
+}
+
+void StoreWriter::write_file(const std::string& path, const Labeling& labeling,
+                             std::size_t num_shards) {
+  write_file(path, labeling.size(), every_label(labeling), num_shards);
 }
 
 }  // namespace plg::store

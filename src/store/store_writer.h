@@ -1,5 +1,6 @@
-// StoreWriter: serializes a Labeling into the sharded .plgl v3 layout
-// (store/format_v3.h).
+// StoreWriter: serializes labels into the sharded .plgl v3 layout
+// (store/format_v3.h), reading them through a label source so a caller
+// writes a subset or a relabeled view without copying a Labeling.
 //
 // The writer owns the layout invariants the mapped reader relies on:
 // shard partition identical to ShardMap(n, num_shards), every region
@@ -15,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,16 +24,30 @@
 
 namespace plg::store {
 
+/// The writer's label source: label_of(v) for v in [0, n). nullptr
+/// stands for a 0-bit label, so a caller can leave slots empty without
+/// building a Label for each. The pointed-to label must stay alive for
+/// the call; the writer may ask for the same v more than once.
+using LabelOf = std::function<const Label*(std::uint64_t)>;
+
 class StoreWriter {
  public:
-  /// Serializes a labeling into a fresh v3 blob partitioned into (at
+  /// Serializes labels 0..n-1 into a fresh v3 blob partitioned into (at
   /// most) `num_shards` shards via ShardMap. num_shards == 0 is clamped
-  /// to 1 (ShardMap's convention).
+  /// to 1 (ShardMap's convention). The blob is sized from the directory
+  /// up front, and each label's words go straight into their shard
+  /// region, tail word masked: bits a Label holds past size_bits never
+  /// reach the file.
+  static std::vector<std::uint8_t> serialize(std::uint64_t n,
+                                             const LabelOf& label_of,
+                                             std::size_t num_shards);
   static std::vector<std::uint8_t> serialize(const Labeling& labeling,
                                              std::size_t num_shards);
 
   /// Serializes and writes to `path`. Throws EncodeError on I/O failure
   /// (including injected write faults).
+  static void write_file(const std::string& path, std::uint64_t n,
+                         const LabelOf& label_of, std::size_t num_shards);
   static void write_file(const std::string& path, const Labeling& labeling,
                          std::size_t num_shards);
 };

@@ -2,8 +2,9 @@
 #pragma once
 
 #include <bit>
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 namespace plg {
 
@@ -80,6 +81,42 @@ inline void deposit_bits(std::uint64_t* words, std::uint64_t pos, int width,
     const int placed = 64 - offset;  // 1..63: the low bits written above
     words[word + 1] =
         (words[word + 1] & ~(mask >> placed)) | (value >> placed);
+  }
+}
+
+/// Copies the `bits`-bit string `src` (BitWriter layout) to absolute bit
+/// `pos` of the word array at `dst`, a word at a time with a funnel
+/// shift: the word-level append writers use to pack labels back to back.
+/// Bits of `src` past `bits` are masked off, so a source with stale tail
+/// bits packs exactly like a clean one. Bits of word pos/64 below `pos`
+/// are kept; every bit of the touched words after pos + bits comes out
+/// zero. Touches words pos/64 .. (pos+bits-1)/64 of dst and
+/// src[0 .. (bits-1)/64] only. dst's words are loaded and stored with
+/// memcpy, so it may be any byte buffer — a serialized blob, say —
+/// with no alignment or type requirement.
+inline void append_bits(void* dst, std::uint64_t pos, const std::uint64_t* src,
+                        std::uint64_t bits) noexcept {
+  if (bits == 0) return;
+  auto* out = static_cast<unsigned char*>(dst) + (pos >> 6) * 8;
+  const auto store = [&out](std::uint64_t i, std::uint64_t w) {
+    std::memcpy(out + i * 8, &w, sizeof(w));
+  };
+  const int offset = static_cast<int>(pos & 63);
+  const std::uint64_t n = (bits + 63) >> 6;
+  const int tail = static_cast<int>(bits & 63);
+  const std::uint64_t last =
+      tail == 0 ? src[n - 1] : src[n - 1] & ((std::uint64_t{1} << tail) - 1);
+  // (w >> 1) >> (63 - offset) is w >> (64 - offset), and 0 at offset 0.
+  std::uint64_t carry = 0;
+  std::memcpy(&carry, out, sizeof(carry));
+  carry &= (std::uint64_t{1} << offset) - 1;
+  for (std::uint64_t i = 0; i + 1 < n; ++i) {
+    store(i, carry | (src[i] << offset));
+    carry = (src[i] >> 1) >> (63 - offset);
+  }
+  store(n - 1, carry | (last << offset));
+  if (static_cast<std::uint64_t>(offset) + bits > n * 64) {
+    store(n, (last >> 1) >> (63 - offset));
   }
 }
 

@@ -1,6 +1,11 @@
 #include "util/bits.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/bit_stream.h"
 
 namespace plg {
 namespace {
@@ -108,6 +113,59 @@ TEST(Bits, DepositBitsOverwritesOnlyItsField) {
       }
     }
   }
+}
+
+TEST(Bits, AppendBitsCopiesMasksAndTouchesOnlyItsWords) {
+  // Every destination offset in a word and every length up to three
+  // words, from a source whose bits past `bits` are not zero: the field
+  // reads back as the source, bits below it keep their old state, the
+  // rest of the last touched word is zero, and later words are untouched.
+  const std::uint64_t src[3] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL,
+                                0xdeadbeefcafef00dULL};
+  const std::uint64_t fill = 0x5555aaaa33339999ULL;
+  for (std::uint64_t pos = 0; pos < 128; pos += 3) {
+    for (std::uint64_t bits = 0; bits <= 192; ++bits) {
+      std::uint64_t dst[6] = {fill, fill, fill, fill, fill, fill};
+      append_bits(dst, pos, src, bits);
+      const std::uint64_t end = pos + bits;
+      const std::uint64_t touched_end = bits == 0 ? pos : (end + 63) / 64 * 64;
+      for (std::uint64_t b = 0; b < 6 * 64; ++b) {
+        const std::uint64_t got = (dst[b >> 6] >> (b & 63)) & 1u;
+        std::uint64_t want = (fill >> (b & 63)) & 1u;
+        if (b >= pos && b < end) {
+          want = (src[(b - pos) >> 6] >> ((b - pos) & 63)) & 1u;
+        } else if (b >= end && b < touched_end) {
+          want = 0;
+        }
+        ASSERT_EQ(got, want) << "bit " << b << "; pos " << pos << " bits "
+                             << bits;
+      }
+    }
+  }
+}
+
+TEST(Bits, AppendBitsBackToBackMatchesBitWriter) {
+  // Labels packed back to back with append_bits give the words a
+  // BitWriter reading each label field by field would.
+  const std::uint64_t src[3] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL,
+                                0xdeadbeefcafef00dULL};
+  const std::uint64_t lengths[] = {0, 1, 63, 64, 65, 7, 128, 0, 130, 33};
+  std::uint64_t total = 0;
+  for (const std::uint64_t len : lengths) total += len;
+  std::vector<std::uint64_t> packed(words_for_bits(total), ~std::uint64_t{0});
+  BitWriter want;
+  std::uint64_t pos = 0;
+  for (const std::uint64_t len : lengths) {
+    append_bits(packed.data(), pos, src, len);
+    pos += len;
+    BitReader r(src, len);
+    for (std::uint64_t left = len; left > 0;) {
+      const int chunk = static_cast<int>(left < 64 ? left : 64);
+      want.write_bits(r.read_bits(chunk), chunk);
+      left -= static_cast<std::uint64_t>(chunk);
+    }
+  }
+  EXPECT_EQ(packed, want.words());
 }
 
 TEST(Bits, FindSetBitScansAndRespectsEnd) {

@@ -343,6 +343,44 @@ TEST(ClusterPartition, WritesReplicatedFullIdSpaceStores) {
   EXPECT_EQ(owned_total, corpus.enc.labeling.size() * cfg.replication);
 }
 
+TEST(ClusterPartition, NonOwnerQueryAnswersCorruptInBand) {
+  // A query misrouted to a node that does not own an endpoint decodes
+  // that endpoint's empty slot: kCorrupt in band, counted, never a guess.
+  const AdjCorpus corpus(200);
+  const ClusterConfig cfg = make_config(3, 2);
+  const std::string dir = fresh_dir("nonowner");
+  write_partitions(corpus.enc.labeling, cfg, dir, 4);
+  const std::uint32_t node = 1;
+  std::vector<std::uint64_t> owned;
+  std::vector<std::uint64_t> foreign;
+  for (std::uint64_t id = 0; id < corpus.enc.labeling.size(); ++id) {
+    (cfg.node_owns(node, id) ? owned : foreign).push_back(id);
+  }
+  ASSERT_GE(owned.size(), 2u);
+  ASSERT_FALSE(foreign.empty());
+
+  service::ServiceOptions sopt;
+  sopt.threads = 1;
+  service::QueryService svc(
+      service::Snapshot::from_file(partition_path(dir, node), 4,
+                                   StoreVerify::kStrict),
+      sopt);
+  const QueryResult ok = svc.query(QueryRequest{owned[0], owned[1]});
+  EXPECT_EQ(ok.status, QueryStatus::kOk);
+  EXPECT_EQ(ok.adjacent, corpus.adjacent(owned[0], owned[1]));
+  EXPECT_EQ(svc.stats().corruptions, 0u);
+
+  const QueryRequest misrouted[] = {{foreign[0], owned[0]},
+                                    {owned[0], foreign[0]},
+                                    {foreign[0], foreign[0]}};
+  std::uint64_t want = 0;
+  for (const QueryRequest& req : misrouted) {
+    EXPECT_EQ(svc.query(req).status, QueryStatus::kCorrupt)
+        << req.u << "," << req.v;
+    EXPECT_EQ(svc.stats().corruptions, ++want);
+  }
+}
+
 // ------------------------------------------------- in-process integration
 
 /// Real NetServer nodes over partition files, addressable by a Router.
